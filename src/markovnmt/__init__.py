@@ -31,6 +31,7 @@ from .decoding import (
     DecoderState,
     beam_decode,
     count_decode_ops,
+    decode_batch,
     greedy_decode,
     incremental_step,
     init_state,
@@ -108,6 +109,7 @@ __all__ = [
     "check_is_fitted",
     "corpus_bleu",
     "count_decode_ops",
+    "decode_batch",
     "decode_forward",
     "encode",
     "generate_pairs",

@@ -78,9 +78,22 @@ class AttentionParams:
         return self.w_q.shape[1] // self.heads
 
 
+def project_kv(kv_src: Tensor, params: AttentionParams) -> tuple[Tensor, Tensor]:
+    """Keys and values of ``kv_src``, projected and split into heads.
+
+    (m, d) or (B, m, d) gives keys already transposed, (B·h, dh, m), and
+    values, (B·h, m, dh). A source that many queries read, such as the
+    encoder memory during decoding, is projected once and passed to
+    :func:`multi_head_attention` in place of its source.
+    """
+    k = matmul(kv_src, params.w_k)
+    v = matmul(kv_src, params.w_v)
+    return split_heads(k, params.heads, transpose=True), split_heads(v, params.heads)
+
+
 def multi_head_attention(
     query_src: Tensor,
-    kv_src: Tensor,
+    kv_src: Tensor | tuple[Tensor, Tensor],
     params: AttentionParams,
     allow: np.ndarray | None,
     counts: dict | None = None,
@@ -88,24 +101,26 @@ def multi_head_attention(
     """Scaled dot-product attention with ``heads`` parallel heads.
 
     ``query_src`` is (n, d) or (B, n, d); ``kv_src`` is (m, d) or (B, m, d)
-    with the same rank. ``allow`` is a boolean array broadcastable to the
-    (.., n, m) score shape, or None for all-allowed. When ``counts`` is
-    given, counts["self_attn_scores"] accumulates the number of allowed
-    score positions actually computed (summed over heads).
+    with the same rank, or the pair :func:`project_kv` made of such a
+    source. ``allow`` is a boolean array broadcastable to the (.., n, m)
+    score shape, or None for all-allowed. When ``counts`` is given,
+    counts["self_attn_scores"] accumulates the number of allowed score
+    positions actually computed (summed over heads).
     """
-    if query_src.data.ndim != kv_src.data.ndim:
-        raise ValueError("query and key/value sources must have equal rank")
     d = params.w_q.shape[0]
     dh = params.head_dim()
     if dh * params.heads != d:
         raise ValueError("d_model not divisible by head count")
-
+    if isinstance(kv_src, tuple):
+        kh_t, vh = kv_src
+    elif query_src.data.ndim != kv_src.data.ndim:
+        raise ValueError("query and key/value sources must have equal rank")
+    else:
+        kh_t, vh = project_kv(kv_src, params)
     q = matmul(query_src, params.w_q)
-    k = matmul(kv_src, params.w_k)
-    v = matmul(kv_src, params.w_v)
 
     if counts is not None:
-        n, m = q.shape[-2], k.shape[-2]
+        n, m = q.shape[-2], vh.shape[-2]
         batch = q.shape[0] if q.data.ndim == 3 else 1
         if allow is None:
             allowed = batch * n * m
@@ -118,8 +133,6 @@ def multi_head_attention(
     # the same item-major, head-minor leading axis
     heads = params.heads
     qh = split_heads(q, heads)
-    kh_t = split_heads(k, heads, transpose=True)
-    vh = split_heads(v, heads)
     head_allow = allow
     if allow is not None and np.ndim(allow) == 3 and np.shape(allow)[0] > 1:
         head_allow = np.repeat(np.asarray(allow, bool), heads, axis=0)

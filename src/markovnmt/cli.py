@@ -34,7 +34,7 @@ from .data import (
     write_sidecar,
     write_tsv,
 )
-from .decoding import beam_decode, count_decode_ops, greedy_decode
+from .decoding import BATCH_SENTENCES, count_decode_ops, decode_batch
 from .evaluation import (
     SweepTemplate,
     bucketed_bleu,
@@ -46,6 +46,7 @@ from .evaluation import (
 )
 from .model import (
     EOS_ID,
+    CheckpointError,
     ConfigError,
     ModelConfig,
     build_model,
@@ -361,24 +362,42 @@ def _load_translator(path: str):
 
 
 def cmd_translate(args) -> int:
+    if args.beam < 1:
+        raise UsageError(f"--beam must be >= 1, got {args.beam}")
+    if args.alpha < 0:
+        raise UsageError(f"--alpha must be >= 0, got {args.alpha}")
+    if args.max_new is not None and args.max_new < 0:
+        raise UsageError(f"--max-new must be >= 0, got {args.max_new}")
     model, src_vocab, tgt_vocab, tokenizer = _load_translator(args.checkpoint)
     fin = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8")
     fout = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
-    try:
-        for line in fin:
-            line = line.rstrip("\n")
+
+    def flush(lines: list[str], first: int) -> None:
+        sources = []
+        for line in lines:
+            if line:
+                ids = src_vocab.encode(tokenize(line, tokenizer))[: model.config.max_len - 1]
+                sources.append(ids + [EOS_ID])
+        decoded = iter(decode_batch(model, sources, args.beam, args.alpha, args.max_new))
+        for i, line in enumerate(lines, start=first):
             if not line:
                 fout.write("\n")
                 continue
-            ids = src_vocab.encode(tokenize(line, tokenizer))[: model.config.max_len - 1]
-            ids.append(EOS_ID)
-            if args.beam > 1 or args.alpha > 0:
-                out_ids = beam_decode(
-                    model, ids, beam_size=args.beam, alpha=args.alpha, max_new=args.max_new
-                ).tokens
-            else:
-                out_ids = greedy_decode(model, ids, max_new=args.max_new)
-            fout.write(detokenize(tgt_vocab.decode(out_ids), tokenizer) + "\n")
+            out = next(decoded)
+            fout.write(detokenize(tgt_vocab.decode(out.tokens), tokenizer) + "\n")
+            if args.stats:
+                print(json.dumps({"line": i, **out.stats}, sort_keys=True), file=sys.stderr)
+
+    try:
+        lines: list[str] = []
+        first = 1
+        for line in fin:
+            lines.append(line.rstrip("\n"))
+            if len(lines) == BATCH_SENTENCES:
+                flush(lines, first)
+                first += len(lines)
+                lines = []
+        flush(lines, first)
     finally:
         if fin is not sys.stdin:
             fin.close()
@@ -506,6 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=int, default=1)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--max-new", type=int, default=None)
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="print one JSON record per sentence to stderr: decode steps, decoder "
+        "self-attention scores computed, peak static floats held per hypothesis",
+    )
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("evaluate", help="corpus BLEU of hypothesis vs reference files")
@@ -554,7 +579,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, CorpusError) as exc:
+    except (ConfigError, CorpusError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonFiniteError as exc:

@@ -13,7 +13,7 @@ import inspect
 from typing import Sequence
 
 from .data import Vocab, detokenize, numericalize, tokenize
-from .decoding import beam_decode, greedy_decode
+from .decoding import decode_batch
 from .evaluation import corpus_bleu
 from .model import EOS_ID, ModelConfig, build_model, ensure_valid
 from .training import TrainSettings, train
@@ -176,25 +176,17 @@ class MarkovTranslator:
         self.n_steps_ = self.steps
         return self
 
-    def _translate_ids(self, src_ids: list[int]) -> list[int]:
-        if self.beam_size > 1 or self.length_penalty > 0:
-            return beam_decode(
-                self.model_, src_ids, beam_size=self.beam_size, alpha=self.length_penalty
-            ).tokens
-        return greedy_decode(self.model_, src_ids)
-
     def predict(self, X: Sequence[str]) -> list[str]:
         """Translate each source sentence."""
         check_is_fitted(self, ["model_", "src_vocab_", "tgt_vocab_"])
         X = check_parallel_texts(X)
-        out = []
+        sources = []
         for s in X:
             ids = self.src_vocab_.encode(tokenize(s, self.tokenizer))
             # clip to the model's positional budget rather than erroring
-            ids = ids[: self.max_len - 1]
-            hyp_ids = self._translate_ids(ids + [EOS_ID])
-            out.append(detokenize(self.tgt_vocab_.decode(hyp_ids), self.tokenizer))
-        return out
+            sources.append(ids[: self.max_len - 1] + [EOS_ID])
+        decoded = decode_batch(self.model_, sources, self.beam_size, self.length_penalty)
+        return [detokenize(self.tgt_vocab_.decode(out.tokens), self.tokenizer) for out in decoded]
 
     def score(self, X: Sequence[str], y: Sequence[str]) -> float:
         """Corpus BLEU of predict(X) against y, in [0, 1]."""

@@ -25,7 +25,7 @@ from .data import (
     numericalize,
     split_pairs,
 )
-from .decoding import greedy_decode
+from .decoding import decode_batch
 from .model import (
     PAD_ID,
     Model,
@@ -175,9 +175,8 @@ def greedy_sequence_accuracy(
     subset = items[:limit] if limit else items
     if not subset:
         raise ValueError("no items to score")
-    hits = 0
-    for src_ids, tgt_ids in subset:
-        hits += greedy_decode(model, src_ids) == list(tgt_ids)
+    decoded = decode_batch(model, [src_ids for src_ids, _ in subset])
+    hits = sum(out.tokens == list(tgt_ids) for out, (_, tgt_ids) in zip(decoded, subset))
     return AccuracyResult(accuracy=hits / len(subset), n_scored=len(subset))
 
 

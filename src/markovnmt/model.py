@@ -15,6 +15,7 @@ cross-attention always reads the encoder's final hidden states.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from math import sqrt
@@ -26,9 +27,21 @@ from .attention import (
     AttentionParams,
     build_mask,
     multi_head_attention,
+    project_kv,
     transparent_self_attention,
 )
-from .tensor import Tensor, add, dropout, embedding, layer_norm, matmul, relu, scale, transpose_last
+from .tensor import (
+    Tensor,
+    add,
+    dropout,
+    embedding,
+    layer_norm,
+    matmul,
+    relu,
+    reshape,
+    scale,
+    transpose_last,
+)
 
 VARIANTS = ("AT", "TAT", "MAT")
 
@@ -404,29 +417,46 @@ def decoder_self_mask(cfg: ModelConfig, n: int) -> np.ndarray:
     return build_mask("causal", n)
 
 
+def project_memory(model: Model, memory: Tensor) -> list[tuple[Tensor, Tensor]]:
+    """Every decoder layer's cross-attention keys and values of ``memory``
+    (m, d) or (S, m, d), projected once for :func:`decode_hidden`'s
+    ``cross_kv``."""
+    return [project_kv(memory, layer.cross_attn) for layer in model.params.dec]
+
+
 def decode_hidden(
     model: Model,
     static: Tensor,
-    memory: Tensor,
+    memory: Tensor | None,
     self_allow: np.ndarray | None,
     mem_allow: np.ndarray | None = None,
     train: bool = False,
     rng=None,
     counts: dict | None = None,
+    kv: Tensor | None = None,
+    cross_kv: list[tuple[Tensor, Tensor]] | None = None,
 ) -> Tensor:
     """Decoder stack from a prepared static-embedding block to final hidden.
 
-    ``static`` is (n, d) or (B, n, d); it is both the layer-0 input and, in
-    transparent variants, the key/value source of every self-attention.
+    ``static`` is (n, d) or (B, n, d), the layer-0 input. In transparent
+    variants ``kv`` is the key/value source of every self-attention; it
+    defaults to ``static``, and a decode step passes the newest row as
+    ``static`` and its window as ``kv``.
+
+    ``cross_kv``, from :func:`project_memory` over S sentences, stands in
+    for ``memory``. The B rows of ``static`` are then S groups of B/S rows,
+    one group per sentence, and ``mem_allow`` is (S, 1, m) or None.
     """
     cfg = model.config
     transparent = cfg.is_transparent()
+    if kv is None:
+        kv = static
     h = static
-    for layer in model.params.dec:
+    for i, layer in enumerate(model.params.dec):
         if transparent:
             h = _residual_block(
                 h,
-                lambda z: transparent_self_attention(z, static, layer.self_attn, self_allow, counts),
+                lambda z: transparent_self_attention(z, kv, layer.self_attn, self_allow, counts),
                 layer.ln_self,
                 cfg,
                 train,
@@ -441,9 +471,10 @@ def decode_hidden(
                 train,
                 rng,
             )
+        source = memory if cross_kv is None else cross_kv[i]
         h = _residual_block(
             h,
-            lambda z: multi_head_attention(z, memory, layer.cross_attn, mem_allow),
+            lambda z: _cross_attention(z, source, layer.cross_attn, mem_allow),
             layer.ln_cross,
             cfg,
             train,
@@ -453,6 +484,22 @@ def decode_hidden(
     if model.params.dec_final_ln is not None:
         h = layer_norm(h, model.params.dec_final_ln.gain, model.params.dec_final_ln.bias)
     return h
+
+
+def _cross_attention(z: Tensor, memory, params: AttentionParams, mem_allow) -> Tensor:
+    """Cross-attention over the encoder memory, or over S sentences' memory
+    projected by :func:`project_memory`. For the latter each sentence's B/S
+    rows of (B, n, d) queries form one block of queries, which attend
+    independently, so no key/value block is repeated per row."""
+    if not isinstance(memory, tuple):
+        return multi_head_attention(z, memory, params, mem_allow)
+    groups = memory[0].shape[0] // params.heads
+    rows, n, d = z.shape
+    if rows == groups:
+        return multi_head_attention(z, memory, params, mem_allow)
+    blocks = reshape(z, (groups, rows // groups * n, d))
+    out = multi_head_attention(blocks, memory, params, mem_allow)
+    return reshape(out, (rows, n, d))
 
 
 def output_logits(model: Model, hidden: Tensor) -> Tensor:
@@ -508,7 +555,9 @@ def decode_forward_batch(
 # checkpoints: one JSON header line, then raw little-endian float32 payload
 
 CHECKPOINT_MAGIC = "markovnmt-checkpoint"
-CHECKPOINT_VERSION = 1
+# version 2 lists the extra (non-parameter) tensors in the header; version 1
+# files, which do not, still load, with every non-parameter tensor an extra
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(
@@ -519,13 +568,15 @@ def save_checkpoint(
 ) -> None:
     """Write config + parameters (+ optional extra arrays) to ``path``.
 
-    Layout: a single JSON header line holding the config and a tensor
-    manifest (name, shape, byte offset), then the concatenated raw
-    little-endian float32 buffers. Round-trips bit-exactly.
+    Layout: a single JSON header line holding the config, a tensor
+    manifest (name, shape, byte offset) and the names of the extra
+    tensors, then the concatenated raw little-endian float32 buffers in
+    manifest order. Round-trips bit-exactly.
     """
     path = os.fspath(path)
     entries: list[tuple[str, np.ndarray]] = [(n, t.data) for n, t in model.params.named()]
-    for name in sorted(extra_tensors or {}):
+    extras = sorted(extra_tensors or {})
+    for name in extras:
         entries.append((name, np.asarray(extra_tensors[name])))
     manifest = []
     offset = 0
@@ -540,6 +591,7 @@ def save_checkpoint(
         "version": CHECKPOINT_VERSION,
         "config": model.config.to_dict(),
         "tensors": manifest,
+        "extras": extras,
         "payload_bytes": offset,
         "meta": meta or {},
     }
@@ -559,7 +611,18 @@ class LoadedCheckpoint:
     meta: dict
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def load_checkpoint(path: str) -> LoadedCheckpoint:
+    """Read a checkpoint, checking its header against its payload.
+
+    Every manifest entry must name a parameter of the stored config or a
+    declared extra, and the tensors must tile the payload in manifest
+    order: each starts where the one before it ends, the first at 0 and
+    the last at the payload's end. Anything else is a CheckpointError.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -567,32 +630,58 @@ def load_checkpoint(path: str) -> LoadedCheckpoint:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
     if header.get("format") != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad format marker)")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
+    version = header.get("version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
     expected = header.get("payload_bytes")
     if expected != len(payload):
         raise CheckpointError(f"payload is {len(payload)} bytes, header promises {expected}")
     try:
         cfg = ModelConfig.from_dict(header["config"])
-    except (KeyError, TypeError, ConfigError) as exc:
+        params = {name for name, _ in build_model(cfg).params.named()}
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad config in checkpoint: {exc}") from exc
+    manifest = header.get("tensors")
+    meta = header.get("meta", {})
+    if not isinstance(manifest, list) or not isinstance(meta, dict):
+        raise CheckpointError("checkpoint header has no tensor list or a malformed meta")
+    extras = header.get("extras") if version > 1 else None
+    if version > 1 and not (isinstance(extras, list) and all(isinstance(n, str) for n in extras)):
+        raise CheckpointError("checkpoint header has no list of extra tensor names")
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        start = entry["offset"]
-        chunk = payload[start : start + nbytes]
-        if len(chunk) != nbytes:
-            raise CheckpointError(f"tensor {entry['name']!r} truncated")
-        tensors[entry["name"]] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
-    return LoadedCheckpoint(config=cfg, tensors=tensors, meta=header.get("meta", {}))
+    end = 0
+    for entry in manifest:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise CheckpointError(f"malformed manifest entry {entry!r}")
+        name, shape, start = entry["name"], entry.get("shape"), entry.get("offset")
+        if name in tensors:
+            raise CheckpointError(f"tensor {name!r} listed twice")
+        if name not in params and extras is not None and name not in extras:
+            raise CheckpointError(f"tensor {name!r} is neither a parameter nor a declared extra")
+        if not (isinstance(shape, list) and all(_is_count(n) for n in shape)):
+            raise CheckpointError(f"tensor {name!r} has malformed shape {shape!r}")
+        if not _is_count(start) or start != end:
+            raise CheckpointError(f"tensor {name!r} at offset {start!r}, expected {end}")
+        end = start + math.prod(shape) * 4
+        if end > len(payload):
+            raise CheckpointError(f"tensor {name!r} truncated")
+        tensors[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).copy()
+    if end != len(payload):
+        raise CheckpointError(f"tensors cover {end} of {len(payload)} payload bytes")
+    missing = set(extras or ()) - set(tensors)
+    if missing:
+        raise CheckpointError(f"declared extra tensors missing: {sorted(missing)}")
+    return LoadedCheckpoint(config=cfg, tensors=tensors, meta=meta)
 
 
 def model_from_checkpoint(loaded: LoadedCheckpoint | str) -> Model:
     """Rebuild a Model from a load result (or a path), verifying that the
-    stored tensors exactly cover the parameter manifest for the config."""
+    stored tensors exactly cover the parameter manifest for the config and
+    hold only finite values."""
     if isinstance(loaded, str):
         loaded = load_checkpoint(loaded)
     model = build_model(loaded.config)
@@ -605,5 +694,7 @@ def model_from_checkpoint(loaded: LoadedCheckpoint | str) -> Model:
             raise CheckpointError(
                 f"parameter {name!r} has shape {arr.shape}, config implies {tensor.data.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"parameter {name!r} holds NaN or Inf")
         tensor.data = arr.astype(np.float32)
     return model

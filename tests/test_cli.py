@@ -213,6 +213,42 @@ def test_translate_file_roundtrip(trained_run, tmp_path):
     assert rc == 0
 
 
+def test_translate_stats_report_constant_window_state(trained_run, tmp_path, capsys):
+    """--stats prints one record per sentence; the MAT(k) state holds
+    k * d_model floats once k tokens are in."""
+    from markovnmt.decoding import count_decode_ops
+    from markovnmt.model import load_checkpoint, model_from_checkpoint, save_checkpoint
+
+    tmp, cfg_path, summary = trained_run
+    loaded = load_checkpoint(os.path.join(summary["run_dir"], "checkpoint.mnmt"))
+    model = model_from_checkpoint(loaded)
+    # all-zero logits: PAD, the lowest id, wins every step and no sentence ends
+    model.params.dec[-1].ln_ffn.gain.data[:] = 0.0
+    ckpt = str(tmp_path / "no_eos.mnmt")
+    save_checkpoint(ckpt, model, meta=loaded.meta)
+    src_file = tmp_path / "src.txt"
+    src_file.write_text("t4 t5 t4\n\nt5\n", encoding="utf-8")
+    cfg = model.config
+    for beam in ("1", "2"):
+        rc = main([
+            "translate", "--checkpoint", ckpt, "--input", str(src_file),
+            "--output", str(tmp_path / "hyp.txt"), "--max-new", "7", "--beam", beam, "--stats",
+        ])
+        assert rc == 0
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [r["line"] for r in records] == [1, 3]
+        for r in records:
+            assert r["steps"] == 7
+            assert r["resident_floats"] == cfg.k * cfg.d_model
+            if beam == "1":
+                assert r["self_attn_scores"] == count_decode_ops(cfg, 7)["total_self_attn_scores"]
+    assert main(["translate", "--checkpoint", ckpt, "--input", str(src_file), "--beam", "0"]) == 2
+    corrupt = tmp_path / "corrupt.mnmt"
+    corrupt.write_bytes(open(ckpt, "rb").read()[:-4])
+    assert main(["translate", "--checkpoint", str(corrupt), "--input", str(src_file)]) == 2
+    assert "payload" in capsys.readouterr().err
+
+
 def test_train_usage_errors(tmp_path, capsys):
     missing = main(["train", "--config", str(tmp_path / "nope.json")])
     assert missing == 2

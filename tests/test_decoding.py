@@ -7,8 +7,10 @@ import pytest
 from markovnmt.decoding import (
     BeamResult,
     DecoderState,
+    RowBatch,
     beam_decode,
     count_decode_ops,
+    decode_batch,
     greedy_decode,
     incremental_step,
     init_state,
@@ -233,6 +235,115 @@ def test_full_width_beam_matches_exhaustive_search(alpha):
         assert got.tokens == want_tokens
         assert got.score == pytest.approx(want_score, abs=1e-5)
         assert got.logp == pytest.approx(want_logp, abs=1e-5)
+
+
+# ------------------------------------------------- batched decoding
+
+
+DIFF_MODELS = [("AT", None), ("TAT", None), ("MAT", 1), ("MAT", 3)]
+
+
+def _teacher_forced_logp(model, src, tokens, budget):
+    """Log-probability of ``tokens``, and of EOS when they stopped before
+    the budget, under the parallel forward."""
+    want = list(tokens) + ([EOS_ID] if len(tokens) < budget else [])
+    with no_grad():
+        logits = decode_forward(model, encode(model, src), np.array([BOS_ID] + list(tokens))).data
+    z = logits.astype(np.float64) - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return float(logp[np.arange(len(want)), want].sum())
+
+
+@pytest.mark.parametrize("variant,k", DIFF_MODELS)
+def test_row_batch_logits_match_one_row_steps(variant, k):
+    """Padded sentences with two hypotheses each, one sentence dropped on
+    the way: every batched row's logits equal its one-row step's."""
+    rng = np.random.default_rng(41)
+    for seed in range(3):
+        model = make_model(variant=variant, k=k, seed=seed)
+        sources = [random_source(rng, n=int(n)) for n in rng.integers(1, 7, size=3)]
+        batch = RowBatch(model, sources)
+        states = [[init_state(model, src)] for src in sources]
+        for step in range(6):
+            logits = batch.logits()
+            rows = [state for group in states for state in group]
+            assert logits.shape == (len(rows), model.config.tgt_vocab_size)
+            for row, state in zip(logits, rows):
+                np.testing.assert_allclose(row, incremental_step(state), atol=1e-5, rtol=0)
+            keep = np.arange(len(states)) if step != 3 else np.array([0, 2])
+            states = [states[g] for g in keep]
+            width = len(rows) // batch.sentences
+            parents, tokens, grown = [], [], []
+            for g, group in zip(keep, states):
+                new_group = []
+                for hyp in range(2):
+                    parent = int(g) * width + hyp % len(group)
+                    token = int(rng.integers(4, 9))
+                    state = group[hyp % len(group)].clone()
+                    state.push(token)
+                    parents.append(parent)
+                    tokens.append(token)
+                    new_group.append(state)
+                grown.append(new_group)
+            batch.advance(keep, np.array(parents), np.array(tokens))
+            states = grown
+
+
+@pytest.mark.parametrize("variant,k", DIFF_MODELS)
+@pytest.mark.parametrize("beam,alpha", [(1, 0.0), (4, 0.6)])
+def test_decode_batch_matches_sentence_by_sentence(variant, k, beam, alpha):
+    """A padded multi-sentence batch decodes to the tokens each sentence
+    gets alone, and every beam logp is the teacher-forced log-probability
+    of its tokens."""
+    rng = np.random.default_rng(43)
+    budget = 8
+    for seed in range(3):
+        model = make_model(variant=variant, k=k, seed=seed)
+        sources = [random_source(rng, n=int(n)) for n in rng.integers(1, 7, size=5)]
+        batched = decode_batch(model, sources, beam, alpha, max_new=budget)
+        for src, got in zip(sources, batched):
+            alone = decode_batch(model, [src], beam, alpha, max_new=budget)[0]
+            assert got.tokens == alone.tokens
+            assert got.logp == pytest.approx(alone.logp, abs=1e-4)
+            assert len(got.n_best) <= beam
+            for hyp in got.n_best:
+                assert hyp.logp == pytest.approx(
+                    _teacher_forced_logp(model, src, hyp.tokens, budget), abs=1e-4
+                )
+            assert got.stats["steps"] == alone.stats["steps"]
+            assert got.stats["self_attn_scores"] == alone.stats["self_attn_scores"]
+
+
+def test_decode_batch_edge_cases():
+    model = make_model(seed=3)
+    assert decode_batch(model, []) == []
+    sources = [np.array([4, EOS_ID]), np.array([5, EOS_ID])]
+    for out in decode_batch(model, sources, beam=3, max_new=0):
+        assert out.tokens == [] and out.logp == 0.0 and out.stats["steps"] == 0
+        assert len(out.n_best) == 1
+    with pytest.raises(ValueError):
+        decode_batch(model, [np.array([4, EOS_ID])], beam=0)
+
+
+@pytest.mark.parametrize("variant,k", [("MAT", 3), ("TAT", None), ("AT", None)])
+def test_decode_stats_count_steps_scores_and_state(variant, k):
+    """Per-sentence stats agree with the closed-form report: one row of
+    a transparent decoder scores min(t, k) keys per layer and head."""
+    model = make_model(variant=variant, k=k, dec_layers=2, heads=2, max_len=32)
+    # a zero final layer norm gives all-zero logits: the lowest id, PAD,
+    # wins every step, so no hypothesis ever ends
+    model.params.dec[-1].ln_ffn.gain.data[:] = 0.0
+    sources = [np.array([4, 5, EOS_ID]), np.array([6, EOS_ID])]
+    for beam in (1, 2):
+        for out in decode_batch(model, sources, beam=beam, max_new=10):
+            stats = out.stats
+            assert stats["steps"] == 10
+            window = 10 if k is None else k
+            assert stats["resident_floats"] == window * model.config.d_model
+            if variant != "AT":
+                per_row = count_decode_ops(model, 10)["total_self_attn_scores"]
+                first_step = model.config.dec_layers * model.config.heads  # one row
+                assert stats["self_attn_scores"] == beam * (per_row - first_step) + first_step
 
 
 # ------------------------------------------------------------ op counts

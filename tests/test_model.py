@@ -1,7 +1,11 @@
 """Model configuration, initialization, forward passes, and checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from markovnmt.model import (
     CheckpointError,
@@ -330,3 +334,98 @@ def test_model_from_checkpoint_rejects_shape_mismatch(tmp_path):
     loaded.tensors[name] = loaded.tensors[name][..., :-1]
     with pytest.raises(CheckpointError):
         model_from_checkpoint(loaded)
+
+
+def _checkpoint_parts(path):
+    raw = path.read_bytes()
+    line, payload = raw.split(b"\n", 1)
+    return json.loads(line), payload
+
+
+def _write_checkpoint_parts(path, header, payload):
+    line = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+    path.write_bytes(line.encode("utf-8") + payload)
+
+
+def test_checkpoint_rejects_negative_offset(tmp_path):
+    """A negative offset such as -(nbytes + 4) slices a chunk of the right
+    length from the wrong place; the loader must refuse it."""
+    path = tmp_path / "m.mnmt"
+    save_checkpoint(path, build_model(tiny_cfg(seed=25)))
+    header, payload = _checkpoint_parts(path)
+    entry = next(e for e in header["tensors"] if e["name"] == "tgt_embed")
+    entry["offset"] = -(int(np.prod(entry["shape"])) * 4 + 4)
+    _write_checkpoint_parts(path, header, payload)
+    with pytest.raises(CheckpointError, match="tgt_embed"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_undeclared_tensor(tmp_path):
+    path = tmp_path / "m.mnmt"
+    save_checkpoint(path, build_model(tiny_cfg(seed=26)), extra_tensors={"opt.step": np.zeros(1)})
+    header, payload = _checkpoint_parts(path)
+    header["extras"] = []
+    _write_checkpoint_parts(path, header, payload)
+    with pytest.raises(CheckpointError, match="opt.step"):
+        load_checkpoint(path)
+
+
+def test_model_from_checkpoint_rejects_non_finite_weights(tmp_path):
+    path = tmp_path / "m.mnmt"
+    save_checkpoint(path, build_model(tiny_cfg(seed=27)))
+    header, payload = _checkpoint_parts(path)
+    first = header["tensors"][0]
+    assert first["offset"] == 0
+    _write_checkpoint_parts(path, header, np.float32(np.nan).tobytes() + payload[4:])
+    with pytest.raises(CheckpointError, match=first["name"]):
+        model_from_checkpoint(str(path))
+
+
+_FUZZ_MODEL = build_model(tiny_cfg(seed=28))
+_FUZZ_EXTRA = {"opt.m.x": np.arange(6, dtype=np.float32).reshape(2, 3)}
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    kind=st.sampled_from(["offset", "shape", "truncate_header", "truncate_file"]),
+    pick=st.integers(0, 10**6),
+    value=st.integers(-(2**40), 2**40) | st.integers(-8, 8),
+    dims=st.lists(st.integers(-2, 20), max_size=3),
+)
+def test_mutated_checkpoint_loads_exactly_or_raises(tmp_path, kind, pick, value, dims):
+    """Mutate or truncate the header's offsets and shapes: a load either
+    gives back the saved tensors bit-exactly or raises CheckpointError.
+
+    Shapes are mutated on parameters only: an extra tensor's shape is
+    declared by its manifest entry alone, so a reshaped extra of the same
+    size is indistinguishable from the original."""
+    path = tmp_path / "fuzz.mnmt"
+    save_checkpoint(path, _FUZZ_MODEL, extra_tensors=_FUZZ_EXTRA)
+    header, payload = _checkpoint_parts(path)
+    entries = header["tensors"]
+    if kind == "offset":
+        entry = entries[pick % len(entries)]
+        entry["offset"] = entry["offset"] + value if pick % 2 else value
+    elif kind == "shape":
+        params = [e for e in entries if e["name"] not in header["extras"]]
+        params[pick % len(params)]["shape"] = dims
+    _write_checkpoint_parts(path, header, payload)
+    if kind == "truncate_header":
+        line, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(line[: pick % len(line)] + b"\n" + rest)
+    elif kind == "truncate_file":
+        raw = path.read_bytes()
+        path.write_bytes(raw[: pick % len(raw)])
+    try:
+        loaded = load_checkpoint(path)
+        rebuilt = model_from_checkpoint(loaded)
+    except CheckpointError:
+        return
+    for (name, t), (_, u) in zip(_FUZZ_MODEL.params.named(), rebuilt.params.named()):
+        assert t.data.shape == u.data.shape and t.data.tobytes() == u.data.tobytes(), name
+    assert set(loaded.tensors) == set(_FUZZ_EXTRA) | {n for n, _ in _FUZZ_MODEL.params.named()}
+    for name, arr in _FUZZ_EXTRA.items():
+        assert loaded.tensors[name].shape == arr.shape
+        assert loaded.tensors[name].tobytes() == arr.tobytes()
