@@ -19,6 +19,7 @@ from .data import (
     CorpusError,
     SyntheticSpec,
     Vocab,
+    VocabError,
     generate_pairs,
     mode_target_positions,
     numericalize,
@@ -100,6 +101,7 @@ __all__ = [
     "TrainSettings",
     "UNK_ID",
     "Vocab",
+    "VocabError",
     "audit_model",
     "audit_sentence",
     "beam_decode",

@@ -24,6 +24,7 @@ from .data import (
     CorpusError,
     SyntheticSpec,
     Vocab,
+    VocabError,
     detokenize,
     generate_pairs,
     mode_target_positions,
@@ -353,12 +354,11 @@ def _load_translator(path: str):
     meta = loaded.meta
     if "src_vocab" not in meta or "tgt_vocab" not in meta:
         raise UsageError(f"{path} carries no vocabulary; was it saved by `train`?")
-    return (
-        model,
-        Vocab.from_dict(meta["src_vocab"]),
-        Vocab.from_dict(meta["tgt_vocab"]),
-        meta.get("tokenizer", "whitespace"),
-    )
+    try:
+        src_vocab, tgt_vocab = Vocab.from_dict(meta["src_vocab"]), Vocab.from_dict(meta["tgt_vocab"])
+    except VocabError as exc:
+        raise CheckpointError(f"{path}: bad vocabulary in metadata: {exc}") from exc
+    return model, src_vocab, tgt_vocab, meta.get("tokenizer", "whitespace")
 
 
 def cmd_translate(args) -> int:

@@ -30,6 +30,10 @@ class CorpusError(ValueError):
     """Corpus file is malformed; message lists offending line numbers."""
 
 
+class VocabError(ValueError):
+    """Symbol table is malformed: reserved symbols, duplicates or non-strings."""
+
+
 def tokenize(text: str, mode: str = "whitespace") -> list[str]:
     if mode == "whitespace":
         return text.split()
@@ -59,7 +63,13 @@ class Vocab:
 
     def __post_init__(self):
         if self.itos[: len(RESERVED)] != list(RESERVED):
-            raise ValueError("vocab must start with the reserved symbols")
+            raise VocabError("vocab must start with the reserved symbols")
+        bad = [s for s in self.itos if not isinstance(s, str)]
+        if bad:
+            raise VocabError(f"vocab entries must be strings, got {bad[:5]!r}")
+        dup = sorted(s for s, n in Counter(self.itos).items() if n > 1)
+        if dup:
+            raise VocabError(f"vocab lists symbols more than once: {dup[:5]!r}")
         if self.stoi is None:
             self.stoi = {s: i for i, s in enumerate(self.itos)}
 
@@ -105,6 +115,8 @@ class Vocab:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vocab":
+        if not isinstance(d, dict) or not isinstance(d.get("itos"), list):
+            raise VocabError("vocab is not an object with an 'itos' list")
         return cls(itos=list(d["itos"]))
 
 
@@ -117,9 +129,16 @@ def parse_corpus(path: str) -> list[tuple[str, str]]:
     """
     pairs: list[tuple[str, str]] = []
     problems: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, so the line that holds them
+    # can be named instead of aborting the read
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                problems.append(f"line {lineno}: invalid UTF-8")
+                continue
             if not line:
                 problems.append(f"line {lineno}: empty line")
                 continue

@@ -154,17 +154,15 @@ class RowBatch:
     def __init__(self, model: Model, src_batch: Sequence):
         self.model = model
         srcs = [np.asarray(s, dtype=np.int64) for s in src_batch]
+        ids = np.full((len(srcs), max(len(s) for s in srcs)), PAD_ID, dtype=np.int64)
+        for i, s in enumerate(srcs):
+            ids[i, : len(s)] = s
+        real = ids != PAD_ID
+        if real.all():
+            real = None
+        self.mem_allow = None if real is None else real[:, None, :]
         with no_grad():
-            if len(srcs) == 1:
-                memory = encode(model, srcs[0])
-                self.mem_allow = None
-            else:
-                ids = np.full((len(srcs), max(len(s) for s in srcs)), PAD_ID, dtype=np.int64)
-                for i, s in enumerate(srcs):
-                    ids[i, : len(s)] = s
-                real = ids != PAD_ID
-                memory = encode_batch(model, ids, real)
-                self.mem_allow = None if real.all() else real[:, None, :]
+            memory = encode_batch(model, ids, real)
             self.cross_kv = project_memory(model, memory)
             bos = np.full((len(srcs), 1), BOS_ID, dtype=np.int64)
             self.static = embed_target_static(model, bos).data

@@ -36,7 +36,7 @@ from .model import (
     ensure_valid,
 )
 from .tensor import no_grad, single_blas_thread
-from .training import TrainSettings, corpus_nll, make_eval_batches, train
+from .training import TrainSettings, make_eval_batches, train
 
 DEFAULT_BUCKET_EDGES = (10, 20, 30, 40, 50, 60)
 
@@ -178,11 +178,6 @@ def greedy_sequence_accuracy(
     decoded = decode_batch(model, [src_ids for src_ids, _ in subset])
     hits = sum(out.tokens == list(tgt_ids) for out, (_, tgt_ids) in zip(decoded, subset))
     return AccuracyResult(accuracy=hits / len(subset), n_scored=len(subset))
-
-
-# token-weighted eval-mode NLL, for validation tracking; an empty corpus
-# raises ValueError("corpus has no target tokens")
-corpus_loss = corpus_nll
 
 
 # ---------------------------------------------------------------------------

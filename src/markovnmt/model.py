@@ -399,16 +399,8 @@ def encode(model: Model, src_ids, train: bool = False, rng=None) -> Tensor:
     ids = np.asarray(src_ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ValueError("encode takes a single id sequence; use encode_batch for batches")
-    cfg = model.config
-    h = embed_source(model, ids, train, rng)
-    for layer in model.params.enc:
-        h = _residual_block(
-            h, lambda z: multi_head_attention(z, z, layer.attn, None), layer.ln_attn, cfg, train, rng
-        )
-        h = _residual_block(h, lambda z: _ffn(z, layer.ffn), layer.ln_ffn, cfg, train, rng)
-    if model.params.enc_final_ln is not None:
-        h = layer_norm(h, model.params.enc_final_ln.gain, model.params.enc_final_ln.bias)
-    return h
+    h = encode_batch(model, ids[None], None, train, rng)
+    return reshape(h, h.shape[1:])
 
 
 def decoder_self_mask(cfg: ModelConfig, n: int) -> np.ndarray:
@@ -508,26 +500,22 @@ def output_logits(model: Model, hidden: Tensor) -> Tensor:
     return matmul(hidden, transpose_last(model.params.tgt_embed))
 
 
-def decode_forward(
-    model: Model,
-    memory: Tensor,
-    tgt_in_ids,
-    train: bool = False,
-    rng=None,
-    counts: dict | None = None,
-) -> Tensor:
-    """Full teacher-forced decoder pass for one sentence.
+def decode_forward(model: Model, memory: Tensor, tgt_in_ids, train: bool = False, rng=None) -> Tensor:
+    """Full teacher-forced decoder pass over one sentence's memory (m, d).
 
-    ``tgt_in_ids`` is the shifted target (BOS, y1, ..., y_{n-1}), shape (n,).
-    Returns logits (n, V) where row t predicts y_{t+1}.
+    ``tgt_in_ids`` is the shifted target (BOS, y1, ..., y_{n-1}), shape (n,),
+    or R such sequences, shape (R, n). Returns logits (n, V), or (R, n, V),
+    where row t predicts y_{t+1}.
     """
     ids = np.asarray(tgt_in_ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ValueError("decode_forward takes a single id sequence")
-    static = embed_target_static(model, ids)
-    allow = decoder_self_mask(model.config, ids.shape[0])
-    hidden = decode_hidden(model, static, memory, allow, None, train, rng, counts)
-    return output_logits(model, hidden)
+    if ids.ndim not in (1, 2):
+        raise ValueError("decode_forward takes (n,) or (R, n) ids")
+    static = embed_target_static(model, np.atleast_2d(ids))
+    allow = decoder_self_mask(model.config, ids.shape[-1])
+    cross_kv = project_memory(model, memory)
+    hidden = decode_hidden(model, static, None, allow, None, train, rng, cross_kv=cross_kv)
+    logits = output_logits(model, hidden)
+    return logits if ids.ndim == 2 else reshape(logits, logits.shape[1:])
 
 
 def decode_forward_batch(
@@ -623,9 +611,12 @@ def load_checkpoint(path: str) -> LoadedCheckpoint:
     order: each starts where the one before it ends, the first at 0 and
     the last at the payload's end. Anything else is a CheckpointError.
     """
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+            payload = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {os.fspath(path)}: {exc.strerror}") from exc
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

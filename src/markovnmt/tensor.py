@@ -174,23 +174,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, dtype={self.data.dtype})"
 
-    # operator sugar
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def sum(self) -> "Tensor":
-        return total(self)
-
 
 @dataclass
 class ComputationRecord:
@@ -230,9 +213,7 @@ class ComputationRecord:
 
 # Ops that only move or select elements: their inputs were checked when
 # they were made, so a non-finite value cannot first appear in their output.
-_MOVES_ONLY = frozenset(
-    ("transpose_last", "relu", "slice_last", "split_heads", "merge_heads", "concat_last", "reshape")
-)
+_MOVES_ONLY = frozenset(("transpose_last", "relu", "split_heads", "merge_heads", "reshape"))
 
 
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -474,20 +455,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _result(out_data, "embedding", (table,), backward)
 
 
-def slice_last(a: Tensor, lo: int, hi: int) -> Tensor:
-    """Slice [lo:hi] along the last axis."""
-    if not (0 <= lo < hi <= a.data.shape[-1]):
-        raise ValueError(f"slice_last bounds [{lo},{hi}) out of range")
-    out_data = np.ascontiguousarray(a.data[..., lo:hi])
-
-    def backward(g, flows):
-        full = np.zeros_like(a.data)
-        full[..., lo:hi] = g
-        _flow(flows, a, full)
-
-    return _result(out_data, "slice_last", (a,), backward)
-
-
 def split_heads(a: Tensor, heads: int, transpose: bool = False) -> Tensor:
     """Cut the last axis into ``heads`` equal slices and stack them along
     the first: (n, d) -> (heads, n, d/heads) and (B, n, d) ->
@@ -526,22 +493,6 @@ def merge_heads(a: Tensor, heads: int, rank: int = 3) -> Tensor:
         _flow(flows, a, g.reshape(lead, n, heads, dh).transpose(0, 2, 1, 3).reshape(a.data.shape))
 
     return _result(out_data, "merge_heads", (a,), backward)
-
-
-def concat_last(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the last axis."""
-    if not parts:
-        raise ValueError("concat_last of nothing")
-    out_data = np.concatenate([p.data for p in parts], axis=-1)
-    widths = [p.data.shape[-1] for p in parts]
-
-    def backward(g, flows):
-        off = 0
-        for p, w in zip(parts, widths):
-            _flow(flows, p, np.ascontiguousarray(g[..., off : off + w]))
-            off += w
-
-    return _result(out_data, "concat_last", tuple(parts), backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -13,13 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markovnmt.audit import (
+    AUDIT_CHUNK,
     AuditReport,
     Violation,
     audit_model,
     audit_sentence,
     influence_window,
 )
-from markovnmt.model import ModelConfig, build_model, ensure_valid
+from markovnmt.model import (
+    BOS_ID,
+    EOS_ID,
+    UNK_ID,
+    ModelConfig,
+    build_model,
+    decode_forward,
+    encode,
+    ensure_valid,
+)
+from markovnmt.tensor import no_grad
 
 
 def _model(variant="MAT", k=2, dec_layers=2, vocab=9, seed=0, **over):
@@ -128,6 +139,57 @@ def test_audit_sentence_custom_replacements():
     )
     assert forwards == 1 + 2
     assert worst == 0.0 and violations == []
+
+
+def _reference_audit_sentence(model, src_ids, tgt_ids):
+    """The audit one sequence at a time: a B=1 forward per perturbed
+    sequence, each compared with a B=1 forward of the unperturbed one."""
+    cfg = model.config
+    tgt_in = np.asarray([BOS_ID] + list(tgt_ids), dtype=np.int64)
+    n = tgt_in.shape[0]
+    with no_grad():
+        memory = encode(model, src_ids)
+        base = decode_forward(model, memory, tgt_in).data
+    worst, violations, forwards, rows_checked = 0.0, [], 1, 0
+    for j in range(1, n):
+        frozen = ~influence_window(cfg.window(), j, n)
+        for repl in range(UNK_ID, cfg.tgt_vocab_size):
+            if repl == tgt_in[j]:
+                continue
+            ids = tgt_in.copy()
+            ids[j] = repl
+            with no_grad():
+                deltas = np.abs(decode_forward(model, memory, ids).data - base).max(axis=-1)
+            forwards += 1
+            rows_checked += int(frozen.sum())
+            for t in np.flatnonzero(frozen):
+                worst = max(worst, float(deltas[t]))
+                if deltas[t] > 0.0:
+                    violations.append((j, int(t), float(deltas[t])))
+    return worst, violations, forwards, rows_checked
+
+
+@pytest.mark.parametrize(
+    "variant, k, over",
+    [
+        ("MAT", 5, {}),
+        ("MAT", 2, {"transparent": False}),  # the contextual banded control
+        ("TAT", None, {}),
+        ("AT", None, {}),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chunked_audit_matches_one_sequence_at_a_time(variant, k, over, seed):
+    model = _model(variant=variant, k=k, seed=seed, **over)
+    rng = np.random.default_rng(seed)
+    src = rng.integers(UNK_ID, 9, size=5).tolist() + [EOS_ID]
+    tgt = rng.integers(UNK_ID, 9, size=9).tolist()
+    got = audit_sentence(model, src, tgt)
+    # several chunks, the last one short
+    assert (got[2] - 1) // AUDIT_CHUNK >= 2 and (got[2] - 1) % AUDIT_CHUNK
+    assert got == _reference_audit_sentence(model, src, tgt)
+    if over:
+        assert got[1]  # the control leaks, so the deltas compared are nonzero
 
 
 def test_audit_length_validation():

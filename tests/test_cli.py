@@ -249,6 +249,37 @@ def test_translate_stats_report_constant_window_state(trained_run, tmp_path, cap
     assert "payload" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("itos", [["a", "a"], [1, 2]])
+def test_translate_rejects_malformed_checkpoint_vocab(trained_run, tmp_path, capsys, itos):
+    from markovnmt.model import load_checkpoint, model_from_checkpoint, save_checkpoint
+
+    tmp, cfg_path, summary = trained_run
+    loaded = load_checkpoint(os.path.join(summary["run_dir"], "checkpoint.mnmt"))
+    reserved = loaded.meta["src_vocab"]["itos"][:4]
+    meta = dict(loaded.meta, src_vocab={"itos": reserved + itos})
+    ckpt = str(tmp_path / "bad_vocab.mnmt")
+    save_checkpoint(ckpt, model_from_checkpoint(loaded), meta=meta)
+    src_file = tmp_path / "src.txt"
+    src_file.write_text("t4 t5\n", encoding="utf-8")
+    assert main(["translate", "--checkpoint", ckpt, "--input", str(src_file)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "bad vocabulary in metadata" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["translate", "--input", "-"],
+        ["count-ops", "--n", "5"],
+        ["audit-leakage"],
+    ],
+)
+def test_missing_checkpoint_is_a_usage_error(tmp_path, capsys, argv):
+    missing = str(tmp_path / "nope.mnmt")
+    assert main(argv + ["--checkpoint", missing]) == 2
+    assert f"error: cannot read checkpoint {missing}" in capsys.readouterr().err
+
+
 def test_train_usage_errors(tmp_path, capsys):
     missing = main(["train", "--config", str(tmp_path / "nope.json")])
     assert missing == 2
@@ -260,6 +291,11 @@ def test_train_usage_errors(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--set", "nope=1"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    tsv = tmp_path / "train.tsv"
+    tsv.write_bytes(b"a b\ta b\n\xff\xfe\tb\n")
+    cfg = _write_config(tmp_path / "tsv.json", data={"train_tsv": str(tsv)})
+    assert main(["train", "--config", cfg, "--out-root", str(tmp_path / "runs")]) == 2
+    assert "line 2: invalid UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/inf inside the doomed forward

@@ -9,6 +9,7 @@ from markovnmt.data import (
     CorpusError,
     SyntheticSpec,
     Vocab,
+    VocabError,
     detokenize,
     generate_pairs,
     mode_target_positions,
@@ -85,6 +86,19 @@ def test_vocab_serialization_roundtrip():
         Vocab(itos=["a", "b", "c", "d", "e"])  # reserved ids missing
 
 
+@pytest.mark.parametrize(
+    "itos, problem",
+    [
+        (["<pad>", "<bos>", "<eos>", "<unk>", "a", "a"], "more than once"),
+        (["<pad>", "<bos>", "<eos>", "<unk>", 1, 2], "must be strings"),
+        ("<pad><bos>", "'itos' list"),
+    ],
+)
+def test_vocab_from_dict_rejects_malformed_tables(itos, problem):
+    with pytest.raises(VocabError, match=problem):
+        Vocab.from_dict({"itos": itos})
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from(["ab", "cd", "e", "fg"]), min_size=1, max_size=40))
 def test_vocab_roundtrip_for_known_tokens(tokens):
@@ -109,6 +123,13 @@ def test_parse_corpus_reports_line_numbers(tmp_path):
         parse_corpus(path)
     msg = str(err.value)
     assert "line 2" in msg and "line 3" in msg and "line 4" in msg
+
+
+def test_parse_corpus_names_invalid_utf8_lines(tmp_path):
+    path = tmp_path / "bytes.tsv"
+    path.write_bytes(b"ok\tok\nbad \xff\xfe\tx\n" + "café\tok\n".encode("utf-8"))
+    with pytest.raises(CorpusError, match=r"line 2: invalid UTF-8$"):
+        parse_corpus(path)
 
 
 def test_parse_corpus_empty_file_warns(tmp_path):

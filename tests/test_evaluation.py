@@ -28,7 +28,6 @@ from markovnmt.evaluation import (
     SweepTemplate,
     bucketed_bleu,
     corpus_bleu,
-    corpus_loss,
     greedy_sequence_accuracy,
     run_order_sweep,
     run_sweep_cell,
@@ -44,7 +43,7 @@ from markovnmt.model import (
     encode,
     ensure_valid,
 )
-from markovnmt.training import TrainSettings, corpus_nll
+from markovnmt.training import TrainSettings
 
 # ---------------------------------------------------------------------------
 # corpus BLEU: frozen hand computations
@@ -269,13 +268,6 @@ def test_greedy_sequence_accuracy_limit():
     assert res.accuracy == sub.accuracy
     with pytest.raises(ValueError):
         greedy_sequence_accuracy(model, [])
-
-
-def test_corpus_loss_equals_token_weighted_nll():
-    rng = np.random.default_rng(5)
-    items = _random_items(rng, 9)
-    model = _tiny_model()
-    assert corpus_loss(model, items) == pytest.approx(corpus_nll(model, items), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

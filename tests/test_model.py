@@ -220,6 +220,27 @@ def test_batched_decode_matches_single_with_padding():
         np.testing.assert_allclose(batch_logits[i, : len(tgt)], single, atol=1e-5)
 
 
+@pytest.mark.parametrize(
+    "over",
+    [
+        dict(variant="MAT", k=2, dec_layers=2),
+        dict(variant="MAT", k=2, dec_layers=2, transparent=False),
+        dict(variant="TAT", k=None, dec_layers=2),
+        dict(variant="AT", k=None, dec_layers=2, post_layernorm=False),
+    ],
+)
+def test_one_sentence_paths_match_the_batched_code_bitwise(over):
+    model = build_model(tiny_cfg(seed=17, **over))
+    src = np.array([4, 7, 5, 6, EOS_ID])
+    memory = encode(model, src)
+    np.testing.assert_array_equal(memory.data, encode_batch(model, src[None]).data[0])
+    rows = np.array([[1, 5, 6, 7, 8, 4], [1, 5, 6, 4, 8, 4], [1, 8, 8, 8, 8, 8]])
+    stacked = decode_forward(model, memory, rows).data
+    assert stacked.shape == (3, 6, 9)
+    for r, ids in enumerate(rows):
+        np.testing.assert_array_equal(stacked[r], decode_forward(model, memory, ids).data)
+
+
 def test_changing_a_padded_source_slot_does_not_change_real_logits():
     model = build_model(tiny_cfg(seed=13))
     tgt = np.array([[1, 5, 6]])

@@ -13,7 +13,6 @@ from markovnmt.tensor import (
     NonFiniteError,
     Tensor,
     add,
-    concat_last,
     cross_entropy,
     dropout,
     embedding,
@@ -26,7 +25,6 @@ from markovnmt.tensor import (
     relu,
     reshape,
     scale,
-    slice_last,
     softmax_masked,
     split_heads,
     total,
@@ -173,15 +171,6 @@ def test_embedding_gather_and_scatter_grad():
     assert np.array_equal(table.grad, expected)
     with pytest.raises(ValueError):
         embedding(table, np.array([4]))
-
-
-def test_slice_concat_roundtrip_and_grads():
-    x = Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True)
-    parts = [slice_last(x, 0, 2), slice_last(x, 2, 4)]
-    back = concat_last(parts)
-    assert np.array_equal(back.data, x.data)
-    total(back).backward()
-    assert np.array_equal(x.grad, np.ones((2, 4), dtype=np.float32))
 
 
 def test_split_heads_layout_roundtrip_and_grads():

@@ -128,6 +128,8 @@ def test_corpus_nll_token_weighting():
     ]
     expected = sum(l * n for l, n in per_batch) / sum(n for _, n in per_batch)
     assert corpus_nll(model, items) == pytest.approx(expected, abs=1e-9)
+    with pytest.raises(ValueError, match="corpus has no target tokens"):
+        corpus_nll(model, [])
 
 
 # ------------------------------------------------------------ schedule
