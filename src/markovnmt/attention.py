@@ -149,8 +149,10 @@ def transparent_self_attention(
     allow: np.ndarray | None,
     counts: dict | None = None,
 ) -> Tensor:
-    """Self-attention that reads queries from ``hidden`` but keys AND values
-    from the layer-0 static embeddings.
+    """Self-attention with queries from one block and keys and values from
+    another: the layer-0 static embeddings in transparent variants, the
+    whole prefix of the layer below for a contextual decode step's top
+    layer, whose queries are its newest rows.
 
     Shares the exact code path with :func:`multi_head_attention`, so when
     ``hidden is static_emb`` the two are bit-identical.

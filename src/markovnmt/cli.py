@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 from .audit import audit_model
 from .data import (
@@ -378,7 +379,12 @@ def cmd_translate(args) -> int:
             if line:
                 ids = src_vocab.encode(tokenize(line, tokenizer))[: model.config.max_len - 1]
                 sources.append(ids + [EOS_ID])
-        decoded = iter(decode_batch(model, sources, args.beam, args.alpha, args.max_new))
+        start = time.perf_counter()
+        results = decode_batch(model, sources, args.beam, args.alpha, args.max_new)
+        # one decode step emits one token per sentence, EOS included
+        emitted = max(sum(out.stats["steps"] for out in results), 1)
+        ms_per_token = (time.perf_counter() - start) * 1e3 / emitted
+        decoded = iter(results)
         for i, line in enumerate(lines, start=first):
             if not line:
                 fout.write("\n")
@@ -386,7 +392,8 @@ def cmd_translate(args) -> int:
             out = next(decoded)
             fout.write(detokenize(tgt_vocab.decode(out.tokens), tokenizer) + "\n")
             if args.stats:
-                print(json.dumps({"line": i, **out.stats}, sort_keys=True), file=sys.stderr)
+                record = {"line": i, **out.stats, "ms_per_token": ms_per_token}
+                print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
     try:
         lines: list[str] = []
@@ -529,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print one JSON record per sentence to stderr: decode steps, decoder "
-        "self-attention scores computed, peak static floats held per hypothesis",
+        "self-attention scores computed, peak static floats held per hypothesis, and "
+        "the wall milliseconds per emitted token of the sentence's batch",
     )
     p.set_defaults(func=cmd_translate)
 

@@ -13,6 +13,7 @@ import json
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -98,7 +99,7 @@ class Vocab:
         return cls(itos=list(RESERVED) + keep)
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
-        return [self.stoi.get(t, UNK_ID) for t in tokens]
+        return list(map(self.stoi.get, tokens, repeat(UNK_ID)))
 
     def decode(self, ids: Sequence[int], strip_reserved: bool = True) -> list[str]:
         toks = []
@@ -258,7 +259,7 @@ def periodic_positions(d: int, src_len: int) -> list[int]:
     Consecutive rewrite positions are d+1 apart, so the previous rewrite
     leaves the window of a k <= d decoder before the next one arrives.
     """
-    return [j for j in range(1, src_len + 1) if (j - 1) % (d + 1) == 0]
+    return list(range(1, src_len + 1, d + 1))
 
 
 def mode_target_positions(d: int, src_len: int) -> list[int]:
@@ -271,16 +272,19 @@ def mode_target_positions(d: int, src_len: int) -> list[int]:
     return periodic_positions(d, src_len)
 
 
-def _apply_mode(src: Sequence[str], mode: str, d: int, symbols: Sequence[str]) -> list[str]:
+def _successor_map(symbols: Sequence[str]) -> dict[str, str]:
+    """:func:`successor` of every symbol."""
+    return {sym: successor(sym, symbols) for sym in symbols}
+
+
+def _apply_mode(src: Sequence[str], mode: str, d: int, next_symbol: dict[str, str]) -> list[str]:
     """Target for periodic_mode: mode token, then the source with the
-    successor map applied at the rewrite positions when the mode says so."""
-    out = [mode]
-    rewrite = set(periodic_positions(d, len(src)))
-    for j, sym in enumerate(src, start=1):
-        if mode == MODE_TOKENS[1] and j in rewrite:
-            out.append(successor(sym, symbols))
-        else:
-            out.append(sym)
+    successor map applied at the rewrite positions when the mode says so.
+    Source index j sits at target index j."""
+    out = [mode, *src]
+    if mode == MODE_TOKENS[1]:
+        for j in periodic_positions(d, len(src)):
+            out[j] = next_symbol[out[j]]
     return out
 
 
@@ -289,18 +293,19 @@ def generate_pairs(spec: SyntheticSpec) -> list[tuple[list[str], list[str]]]:
     spec.validate()
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     symbols = _symbols(spec.vocab_size)
+    next_symbol = _successor_map(symbols)
     lo, hi = spec.len_range
     pairs: list[tuple[list[str], list[str]]] = []
     for _ in range(spec.n_pairs):
         length = int(rng.integers(lo, hi + 1))
-        src = [symbols[int(i)] for i in rng.integers(0, len(symbols), size=length)]
+        src = [symbols[i] for i in rng.integers(0, len(symbols), size=length).tolist()]
         if spec.task == "copy":
             tgt = list(src)
         elif spec.task == "reverse":
             tgt = list(reversed(src))
         else:
             mode = MODE_TOKENS[int(rng.integers(0, 2))]
-            tgt = _apply_mode(src, mode, spec.d, symbols)
+            tgt = _apply_mode(src, mode, spec.d, next_symbol)
         pairs.append((src, tgt))
     return pairs
 
@@ -374,13 +379,13 @@ def windowed_oracle_accuracy(
     """
     if k < 1:
         raise ValueError("window k must be >= 1")
-    symbols = _symbols(vocab_size)
+    next_symbol = _successor_map(_symbols(vocab_size))
     total = 0.0
     n_positions = 0
     beyond_total = 0.0
     n_beyond = 0
     for src, tgt in pairs:
-        variants = {m: _apply_mode(src, m, d, symbols) for m in MODE_TOKENS}
+        variants = {m: _apply_mode(src, m, d, next_symbol) for m in MODE_TOKENS}
         for q in mode_target_positions(d, len(src)):
             observed_window = list(tgt[max(0, q - k) : q])
             consistent = [

@@ -6,8 +6,10 @@ states: the windowed variant keeps the last k static rows (k * d_model
 floats, constant in sequence length), the unwindowed transparent variant
 keeps the full static history (d_model floats per token, no per-layer
 growth), and both compute only the new row per step. The contextual
-variant has no such shortcut; it keeps the same static history and
-recomputes the whole prefix stack every step.
+variant has no such shortcut; it keeps the same static history, and each
+step reruns every layer but the top over the whole prefix, whose rows are
+the next layer's keys and values. The top layer's output feeds only the
+logits, so it runs for the newest row alone.
 
 Each decoder layer's cross-attention keys and values are projected once
 per sentence. :func:`decode_batch` steps every live row (sentence x beam
@@ -65,12 +67,12 @@ def _step_logits(
                 counts=counts, kv=Tensor(static), cross_kv=cross_kv,
             )
         else:
-            # contextual keys/values force a full prefix recompute
-            allow = decoder_self_mask(cfg, static.shape[1])
+            # contextual keys/values: the layers below the top rerun the
+            # prefix, and the top layer runs for the newest row alone
+            allow = decoder_self_mask(cfg, static.shape[1])[-1:]
             hidden = decode_hidden(
                 model, Tensor(static), None, allow, mem_allow, counts=counts, cross_kv=cross_kv
             )
-            hidden = Tensor(hidden.data[:, -1:])
         return output_logits(model, hidden).data[:, 0]
 
 

@@ -33,6 +33,7 @@ from .attention import (
 from .tensor import (
     Tensor,
     add,
+    checked,
     dropout,
     embedding,
     layer_norm,
@@ -329,11 +330,16 @@ def _maybe_dropout(x: Tensor, cfg: ModelConfig, train: bool, rng) -> Tensor:
 
 
 def _residual_block(x: Tensor, sublayer, ln: LayerNormParams, cfg: ModelConfig, train: bool, rng) -> Tensor:
-    """One residual sublayer. Post-LN: LN(x + drop(f(x))). Pre-LN: x + drop(f(LN(x)))."""
-    if cfg.post_layernorm:
-        return layer_norm(add(x, _maybe_dropout(sublayer(x), cfg, train, rng)), ln.gain, ln.bias)
-    normed = layer_norm(x, ln.gain, ln.bias)
-    return add(x, _maybe_dropout(sublayer(normed), cfg, train, rng))
+    """One residual sublayer. Post-LN: LN(x + drop(f(x))). Pre-LN: x + drop(f(LN(x))).
+    Its output is a finite-check boundary (see :func:`checked`)."""
+
+    def block() -> Tensor:
+        if cfg.post_layernorm:
+            return layer_norm(add(x, _maybe_dropout(sublayer(x), cfg, train, rng)), ln.gain, ln.bias)
+        normed = layer_norm(x, ln.gain, ln.bias)
+        return add(x, _maybe_dropout(sublayer(normed), cfg, train, rng))
+
+    return checked(block, rng if train and cfg.dropout > 0.0 else None)
 
 
 def embed_source(model: Model, ids: np.ndarray, train: bool = False, rng=None) -> Tensor:
@@ -342,9 +348,12 @@ def embed_source(model: Model, ids: np.ndarray, train: bool = False, rng=None) -
     n = ids.shape[-1]
     if n > cfg.max_len:
         raise ValueError(f"source length {n} exceeds max_len {cfg.max_len}")
-    emb = scale(embedding(model.params.src_embed, ids), sqrt(cfg.d_model))
-    emb = add(emb, Tensor(model.pos_table[:n]))
-    return _maybe_dropout(emb, cfg, train, rng)
+
+    def block() -> Tensor:
+        emb = scale(embedding(model.params.src_embed, ids), sqrt(cfg.d_model))
+        return add(emb, Tensor(model.pos_table[:n]))
+
+    return _maybe_dropout(checked(block), cfg, train, rng)
 
 
 def embed_target_static(model: Model, ids: np.ndarray, offset: int = 0) -> Tensor:
@@ -359,10 +368,14 @@ def embed_target_static(model: Model, ids: np.ndarray, offset: int = 0) -> Tenso
     n = ids.shape[-1]
     if offset + n > cfg.max_len:
         raise ValueError(f"target positions {offset + n} exceed max_len {cfg.max_len}")
-    emb = scale(embedding(model.params.tgt_embed, ids), sqrt(cfg.d_model))
-    if cfg.static_includes_position:
-        emb = add(emb, Tensor(model.pos_table[offset : offset + n]))
-    return emb
+
+    def block() -> Tensor:
+        emb = scale(embedding(model.params.tgt_embed, ids), sqrt(cfg.d_model))
+        if cfg.static_includes_position:
+            emb = add(emb, Tensor(model.pos_table[offset : offset + n]))
+        return emb
+
+    return checked(block)
 
 
 def _ffn(x: Tensor, p: FeedForwardParams) -> Tensor:
@@ -389,8 +402,9 @@ def encode_batch(
             h, lambda z: multi_head_attention(z, z, layer.attn, allow), layer.ln_attn, cfg, train, rng
         )
         h = _residual_block(h, lambda z: _ffn(z, layer.ffn), layer.ln_ffn, cfg, train, rng)
-    if model.params.enc_final_ln is not None:
-        h = layer_norm(h, model.params.enc_final_ln.gain, model.params.enc_final_ln.bias)
+    final = model.params.enc_final_ln
+    if final is not None:
+        h = checked(lambda: layer_norm(h, final.gain, final.bias))
     return h
 
 
@@ -435,6 +449,15 @@ def decode_hidden(
     defaults to ``static``, and a decode step passes the newest row as
     ``static`` and its window as ``kv``.
 
+    In contextual variants each self-attention reads keys and values from
+    its own layer's input. A ``self_allow`` with q < n rows, the last q
+    rows of the mask, asks for the last q rows of hidden state only, as a
+    decode step does: the layers below the top still run over all n rows
+    under :func:`decoder_self_mask`, because the top layer reads them as
+    keys and values, and the top layer runs for the last q rows alone.
+    Those rows are cut from the layer below without a gradient path, so
+    this form is for inference only.
+
     ``cross_kv``, from :func:`project_memory` over S sentences, stands in
     for ``memory``. The B rows of ``static`` are then S groups of B/S rows,
     one group per sentence, and ``mem_allow`` is (S, 1, m) or None.
@@ -443,26 +466,33 @@ def decode_hidden(
     transparent = cfg.is_transparent()
     if kv is None:
         kv = static
+    n = static.shape[-2]
+    rows = n if transparent or self_allow is None else self_allow.shape[-2]
+    prefix_allow = self_allow if rows == n else decoder_self_mask(cfg, n)
+    top = len(model.params.dec) - 1
     h = static
     for i, layer in enumerate(model.params.dec):
+        ln = layer.ln_self
         if transparent:
-            h = _residual_block(
-                h,
-                lambda z: transparent_self_attention(z, kv, layer.self_attn, self_allow, counts),
-                layer.ln_self,
-                cfg,
-                train,
-                rng,
-            )
+            context, allow = kv, self_allow
+        elif i < top or rows == n:
+            context, allow = None, prefix_allow  # keys and values from the queries' own rows
         else:
-            h = _residual_block(
-                h,
-                lambda z: multi_head_attention(z, z, layer.self_attn, self_allow, counts),
-                layer.ln_self,
-                cfg,
-                train,
-                rng,
-            )
+            # queries from the last rows, keys and values from every row
+            # of the layer below, as its sublayer would see them
+            context = h if cfg.post_layernorm else checked(lambda: layer_norm(h, ln.gain, ln.bias))
+            allow = self_allow
+            h = Tensor(h.data[..., n - rows :, :])
+        h = _residual_block(
+            h,
+            lambda z: multi_head_attention(z, z, layer.self_attn, allow, counts)
+            if context is None
+            else transparent_self_attention(z, context, layer.self_attn, allow, counts),
+            ln,
+            cfg,
+            train,
+            rng,
+        )
         source = memory if cross_kv is None else cross_kv[i]
         h = _residual_block(
             h,
@@ -473,8 +503,9 @@ def decode_hidden(
             rng,
         )
         h = _residual_block(h, lambda z: _ffn(z, layer.ffn), layer.ln_ffn, cfg, train, rng)
-    if model.params.dec_final_ln is not None:
-        h = layer_norm(h, model.params.dec_final_ln.gain, model.params.dec_final_ln.bias)
+    final = model.params.dec_final_ln
+    if final is not None:
+        h = checked(lambda: layer_norm(h, final.gain, final.bias))
     return h
 
 
@@ -496,8 +527,9 @@ def _cross_attention(z: Tensor, memory, params: AttentionParams, mem_allow) -> T
 
 def output_logits(model: Model, hidden: Tensor) -> Tensor:
     """Project hidden states onto the vocabulary with the tied target
-    embedding (no separate output matrix, no bias)."""
-    return matmul(hidden, transpose_last(model.params.tgt_embed))
+    embedding (no separate output matrix, no bias). The logits are a
+    finite-check boundary (see :func:`checked`)."""
+    return checked(lambda: matmul(hidden, transpose_last(model.params.tgt_embed)))
 
 
 def decode_forward(model: Model, memory: Tensor, tgt_in_ids, train: bool = False, rng=None) -> Tensor:

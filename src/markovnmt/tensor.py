@@ -1,9 +1,14 @@
 """numpy-backed tensors with reverse-mode autodiff.
 
 Arrays are float32 by default (float64 is opt-in, used by the gradient
-checker), rank 3 at most, and every forward op validates its output so a
-NaN or Inf is reported at the op that produced it instead of ten layers
-downstream. The graph is a plain DAG of Tensor nodes; ``backward()``
+checker) and rank 3 at most. A NaN or Inf is reported at the op that
+produced it instead of ten layers downstream. While gradients are
+recorded, every forward op validates its output. Under :func:`no_grad`,
+matmul, add, scale, layer_norm and softmax_masked skip that check;
+relu and softmax_masked check their inputs instead, and the model checks
+the output of each sublayer through :func:`checked`, which replays a
+failing block with every op checked so that the error names the same op.
+The graph is a plain DAG of Tensor nodes; ``backward()``
 materializes a :class:`ComputationRecord` (topological node list) and walks
 it once in reverse. Gradients accumulate across backward calls until
 ``zero_grad()``.
@@ -39,6 +44,8 @@ class GradientError(AssertionError):
 
 
 _grad_enabled = True
+# True while :func:`checked` replays a block with every op checked
+_replaying = False
 
 
 @contextlib.contextmanager
@@ -111,6 +118,13 @@ def _check_finite(data: np.ndarray, op: str) -> None:
     # decode step's one-row arrays costs more than the check itself
     if not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
+
+
+def _check_input(data: np.ndarray, op: str) -> None:
+    """Under no_grad, check what ``op`` reads: relu and softmax_masked can
+    turn -inf into a finite output, which no later check would see."""
+    if not (_grad_enabled or _replaying) and not np.isfinite(data).all():
+        raise NonFiniteError(f"non-finite values reach op '{op}'")
 
 
 class Tensor:
@@ -214,10 +228,14 @@ class ComputationRecord:
 # Ops that only move or select elements: their inputs were checked when
 # they were made, so a non-finite value cannot first appear in their output.
 _MOVES_ONLY = frozenset(("transpose_last", "relu", "split_heads", "merge_heads", "reshape"))
+# Under no_grad these ops are not checked one by one either: the input
+# checks of relu and softmax_masked and the boundaries of :func:`checked`
+# catch what they make.
+_UNCHECKED_NO_GRAD = _MOVES_ONLY | {"matmul", "add", "scale", "layer_norm", "softmax_masked"}
 
 
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if op not in _MOVES_ONLY:
+    if op not in (_MOVES_ONLY if _grad_enabled or _replaying else _UNCHECKED_NO_GRAD):
         _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -231,6 +249,36 @@ def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) ->
         out.parents = parents
         out._backward = backward
     return out
+
+
+def checked(block: Callable[[], Tensor], rng: np.random.Generator | None = None) -> Tensor:
+    """``block()``, with its output checked for NaN and Inf.
+
+    While gradients are recorded every op checks its own output, and the
+    block just runs. Under :func:`no_grad`, when the output or an input
+    check inside the block finds a non-finite value, the block runs again
+    with every op checked, from the same inputs and with ``rng`` (the
+    block's dropout stream, if any) back in its starting state. That run
+    raises :class:`NonFiniteError` at the op that made the value.
+    """
+    global _replaying
+    if _grad_enabled or _replaying:
+        return block()
+    state = None if rng is None else rng.bit_generator.state
+    try:
+        out = block()
+        if np.isfinite(out.data).all():
+            return out
+    except NonFiniteError:
+        pass
+    if rng is not None:
+        rng.bit_generator.state = state
+    _replaying = True
+    try:
+        block()
+    finally:
+        _replaying = False
+    raise NonFiniteError("non-finite values that a replay with every op checked did not make")
 
 
 # numpy's own reduction over a short last axis runs one row at a time and
@@ -362,6 +410,7 @@ def transpose_last(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    _check_input(a.data, "relu")
     out_data = np.maximum(a.data, 0)
 
     def backward(g, flows):
@@ -380,6 +429,7 @@ def softmax_masked(scores: Tensor, allow: np.ndarray | None) -> Tensor:
     value rows regardless of score magnitudes.
     """
     s = scores.data
+    _check_input(s, "softmax_masked")
     mask = None
     if allow is not None:
         allow = np.asarray(allow, dtype=bool)

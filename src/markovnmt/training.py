@@ -21,6 +21,7 @@ from .model import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
+    CheckpointError,
     Model,
     decode_forward_batch,
     encode_batch,
@@ -352,44 +353,57 @@ def train(
 # checkpoints that carry optimizer state for exact resume
 
 
+# the optimizer's settings and step, as the checkpoint meta stores them
+_OPT_FIELDS = ("step_count", "base_lr", "warmup", "beta1", "beta2", "eps", "weight_decay", "clip_norm")
+
+
 def save_training_checkpoint(path: str, model: Model, opt: AdamW, meta: dict | None = None) -> None:
     extra = {}
     for name, arr in opt.m.items():
         extra[f"opt.m.{name}"] = arr
     for name, arr in opt.v.items():
         extra[f"opt.v.{name}"] = arr
-    opt_meta = {
-        "step_count": opt.step_count,
-        "base_lr": opt.base_lr,
-        "warmup": opt.warmup,
-        "beta1": opt.beta1,
-        "beta2": opt.beta2,
-        "eps": opt.eps,
-        "weight_decay": opt.weight_decay,
-        "clip_norm": opt.clip_norm,
-    }
+    opt_meta = {name: getattr(opt, name) for name in _OPT_FIELDS}
     save_checkpoint(path, model, extra_tensors=extra, meta={"optimizer": opt_meta, **(meta or {})})
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def load_training_checkpoint(path: str) -> tuple[Model, AdamW, dict]:
+    """Model, optimizer and meta of a :func:`save_training_checkpoint` file.
+
+    Optimizer settings must all be numbers (``clip_norm`` may be null),
+    and every moment must be finite and shaped like the parameter it
+    names, with first and second moments for the same parameters; anything
+    else is a CheckpointError.
+    """
     loaded = load_checkpoint(path)
     model = model_from_checkpoint(loaded)
     opt_meta = loaded.meta.get("optimizer")
     if opt_meta is None:
         raise ValueError(f"{path} has no optimizer state; use model_from_checkpoint")
-    opt = AdamW(
-        base_lr=opt_meta["base_lr"],
-        warmup=opt_meta["warmup"],
-        beta1=opt_meta["beta1"],
-        beta2=opt_meta["beta2"],
-        eps=opt_meta["eps"],
-        weight_decay=opt_meta["weight_decay"],
-        clip_norm=opt_meta["clip_norm"],
-        step_count=opt_meta["step_count"],
-    )
+    if not isinstance(opt_meta, dict):
+        raise CheckpointError(f"{path}: optimizer state is not an object")
+    for name in _OPT_FIELDS:
+        if name not in opt_meta:
+            raise CheckpointError(f"{path}: optimizer state has no {name!r}")
+        value = opt_meta[name]
+        if not (_is_number(value) or (name == "clip_norm" and value is None)):
+            raise CheckpointError(f"{path}: optimizer {name!r} is {value!r}, not a number")
+    opt = AdamW(**{name: opt_meta[name] for name in _OPT_FIELDS})
+    params = model.params.tensors()
     for key, arr in loaded.tensors.items():
-        if key.startswith("opt.m."):
-            opt.m[key[len("opt.m.") :]] = arr
-        elif key.startswith("opt.v."):
-            opt.v[key[len("opt.v.") :]] = arr
+        for prefix, moments in (("opt.m.", opt.m), ("opt.v.", opt.v)):
+            if not key.startswith(prefix):
+                continue
+            param = params.get(key[len(prefix) :])
+            if param is None or arr.shape != param.data.shape:
+                raise CheckpointError(f"{path}: moment {key!r} of shape {arr.shape} fits no parameter")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: moment {key!r} holds NaN or Inf")
+            moments[key[len(prefix) :]] = arr
+    if set(opt.m) != set(opt.v):
+        raise CheckpointError(f"{path}: first and second moments name different parameters")
     return model, opt, loaded.meta

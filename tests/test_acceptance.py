@@ -2,11 +2,14 @@
 under `pytest -v`.
 
 Every tolerance and budget is pinned in the test body. The two training
-reproductions (criteria 8 and 9) run last because they dominate the
-runtime; everything before them is structural and fails fast.
+reproductions (criteria 8 and 9) dominate the runtime. Their models start
+training with this module's first test, and the two criteria are checked
+at the end of the session, so the rest of the suite runs while they train;
+everything else here is structural and fails fast.
 """
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -370,23 +373,126 @@ def test_criterion_11_beam_properties():
 # training reproductions (minutes each; budgets asserted per model)
 
 
+_ORDER_SWEEP_DATA = SyntheticSpec(
+    task="periodic_mode", n_pairs=4000, len_range=(12, 20), vocab_size=6, seed=0, d=4
+)
+
+# criterion name -> (template, cells)
+_TRAINING_CRITERIA = {
+    "test_criterion_08_order_sweep_reproduces_the_window_effect": (
+        SweepTemplate(
+            data=_ORDER_SWEEP_DATA,
+            model=ModelConfig(
+                variant="MAT",
+                k=5,
+                enc_layers=2,
+                dec_layers=2,
+                heads=4,
+                d_model=64,
+                d_ff=128,
+                src_vocab_size=8,
+                tgt_vocab_size=8,
+                max_len=32,
+                dropout=0.0,
+                seed=0,
+            ),
+            training=TrainSettings(
+                steps=2500,
+                max_tokens_per_batch=2200,
+                base_lr=0.05,
+                warmup=400,
+                label_smoothing=0.0,
+                weight_decay=0.0,
+                log_every=500,
+                seed=0,
+            ),
+            test_fraction=0.15,
+            split_seed=0,
+        ),
+        [("MAT", 1), ("MAT", 2), ("MAT", 3), ("MAT", 5), ("AT", None)],
+    ),
+    "test_criterion_09_copy_task_is_window_insensitive": (
+        SweepTemplate(
+            data=SyntheticSpec(task="copy", n_pairs=3000, len_range=(5, 12), vocab_size=8, seed=0),
+            model=ModelConfig(
+                variant="MAT",
+                k=3,
+                enc_layers=2,
+                dec_layers=2,
+                heads=4,
+                d_model=64,
+                d_ff=128,
+                src_vocab_size=8,
+                tgt_vocab_size=8,
+                max_len=16,
+                dropout=0.0,
+                seed=0,
+            ),
+            training=TrainSettings(
+                steps=1200,
+                max_tokens_per_batch=2200,
+                base_lr=0.05,
+                warmup=200,
+                label_smoothing=0.0,
+                weight_decay=0.0,
+                log_every=400,
+                seed=0,
+            ),
+            test_fraction=0.15,
+            split_seed=0,
+        ),
+        [("MAT", 1), ("MAT", 3), ("AT", None)],
+    ),
+}
+
+
 def _timed_cell(template, variant, k):
     t0, w0 = time.process_time(), time.perf_counter()
     row = run_sweep_cell(template, variant, k, seed=0)
     return row, time.process_time() - t0, time.perf_counter() - w0
 
 
-def _run_cells(template, cells, per_model_budget):
-    # The cells are independent, so all of them train at once, one process
-    # each, and no core idles while the last cells finish. Each cell is
-    # timed inside the process that trains it, so its CPU seconds are its
-    # own, as when the cells ran one by one; its wall seconds also count
-    # the time it waited for a core.
-    with ProcessPoolExecutor(max_workers=len(cells)) as pool:
-        futures = [pool.submit(_timed_cell, template, variant, k) for variant, k in cells]
-        timed = [f.result() for f in futures]
+@pytest.fixture(scope="session")
+def training_cells(request):
+    """Start the cells of every selected training criterion in one process
+    pool, one worker per core, and map (criterion, variant, k) to a future.
+
+    The cells are independent and deterministic, so the order they run in
+    does not change their results. The longest cells are queued first, and
+    the short copy cells fill the cores once the order sweep winds down;
+    one pool per criterion would leave a core idle at the end of each.
+    With no more processes than cores, no cell waits long for a core, so
+    its CPU and wall seconds come out close to what it takes alone.
+    """
+    selected = {item.name for item in request.session.items}
+    jobs = [
+        (name, template, variant, k)
+        for name, (template, cells) in _TRAINING_CRITERIA.items()
+        if name in selected
+        for variant, k in cells
+    ]
+    jobs.sort(key=lambda job: -job[1].training.steps)
+    workers = max(1, min(len(jobs), len(os.sched_getaffinity(0))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield {
+            (name, variant, k): pool.submit(_timed_cell, template, variant, k)
+            for name, template, variant, k in jobs
+        }
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _start_training(request):
+    # The criteria that read the cells run at the end of the session (see
+    # tests/conftest.py); the cells train meanwhile, beside the other tests.
+    request.getfixturevalue("training_cells")
+
+
+def _run_cells(training_cells, name, per_model_budget):
+    # Each cell is timed inside the process that trains it, so its CPU
+    # seconds are its own, as when the cells ran one by one.
     out = {}
-    for (variant, k), (row, cpu, wall) in zip(cells, timed):
+    for variant, k in _TRAINING_CRITERIA[name][1]:
+        row, cpu, wall = training_cells[(name, variant, k)].result()
         assert row["status"] == "ok", f"{variant} k={k}: {row['status']}"
         # wall time beside CPU time tells extra threads apart from slower code
         assert cpu <= per_model_budget, (
@@ -403,78 +509,21 @@ def _cell_detail(results):
     )
 
 
-def test_criterion_09_copy_task_is_window_insensitive():
-    template = SweepTemplate(
-        data=SyntheticSpec(task="copy", n_pairs=3000, len_range=(5, 12), vocab_size=8, seed=0),
-        model=ModelConfig(
-            variant="MAT",
-            k=3,
-            enc_layers=2,
-            dec_layers=2,
-            heads=4,
-            d_model=64,
-            d_ff=128,
-            src_vocab_size=8,
-            tgt_vocab_size=8,
-            max_len=16,
-            dropout=0.0,
-            seed=0,
-        ),
-        training=TrainSettings(
-            steps=1200,
-            max_tokens_per_batch=2200,
-            base_lr=0.05,
-            warmup=200,
-            label_smoothing=0.0,
-            weight_decay=0.0,
-            log_every=400,
-            seed=0,
-        ),
-        test_fraction=0.15,
-        split_seed=0,
+def test_criterion_09_copy_task_is_window_insensitive(training_cells):
+    results = _run_cells(
+        training_cells, "test_criterion_09_copy_task_is_window_insensitive", per_model_budget=300.0
     )
-    cells = [("MAT", 1), ("MAT", 3), ("AT", None)]
-    results = _run_cells(template, cells, per_model_budget=300.0)
     for (variant, k), (acc, _, _) in results.items():
         assert acc >= 0.99, f"{variant} k={k}: sequence accuracy {acc:.4f} < 0.99"
     print(f"[criterion 09] PASS copy control: {_cell_detail(results)}")
 
 
-def test_criterion_08_order_sweep_reproduces_the_window_effect():
-    data = SyntheticSpec(
-        task="periodic_mode", n_pairs=4000, len_range=(12, 20), vocab_size=6, seed=0, d=4
+def test_criterion_08_order_sweep_reproduces_the_window_effect(training_cells):
+    results = _run_cells(
+        training_cells,
+        "test_criterion_08_order_sweep_reproduces_the_window_effect",
+        per_model_budget=600.0,
     )
-    template = SweepTemplate(
-        data=data,
-        model=ModelConfig(
-            variant="MAT",
-            k=5,
-            enc_layers=2,
-            dec_layers=2,
-            heads=4,
-            d_model=64,
-            d_ff=128,
-            src_vocab_size=8,
-            tgt_vocab_size=8,
-            max_len=32,
-            dropout=0.0,
-            seed=0,
-        ),
-        training=TrainSettings(
-            steps=2500,
-            max_tokens_per_batch=2200,
-            base_lr=0.05,
-            warmup=400,
-            label_smoothing=0.0,
-            weight_decay=0.0,
-            log_every=500,
-            seed=0,
-        ),
-        test_fraction=0.15,
-        split_seed=0,
-    )
-    cells = [("MAT", 1), ("MAT", 2), ("MAT", 3), ("MAT", 5), ("AT", None)]
-    results = _run_cells(template, cells, per_model_budget=600.0)
     acc = {k: v for (variant, k), (v, _, _) in results.items() if variant == "MAT"}
     assert acc[5] >= 0.95, f"acc(k=5) = {acc[5]:.4f} < 0.95"
     assert acc[1] <= 0.75, f"acc(k=1) = {acc[1]:.4f} > 0.75"
@@ -482,7 +531,7 @@ def test_criterion_08_order_sweep_reproduces_the_window_effect():
 
     # the brute-force windowed Bayes oracle confirms the 0.5 ceiling on
     # positions whose window cannot reach the evidence, for every k <= d
-    pairs = generate_pairs(data)
+    pairs = generate_pairs(_ORDER_SWEEP_DATA)
     for k in (1, 2, 3, 4):
         oracle = windowed_oracle_accuracy(pairs, d=4, k=k, vocab_size=6)
         assert oracle.beyond_mode_window == 0.5, (

@@ -8,6 +8,7 @@ print on stdout.
 
 import csv
 import json
+import math
 import os
 
 import pytest
@@ -240,6 +241,7 @@ def test_translate_stats_report_constant_window_state(trained_run, tmp_path, cap
         for r in records:
             assert r["steps"] == 7
             assert r["resident_floats"] == cfg.k * cfg.d_model
+            assert math.isfinite(r["ms_per_token"]) and r["ms_per_token"] > 0
             if beam == "1":
                 assert r["self_attn_scores"] == count_decode_ops(cfg, 7)["total_self_attn_scores"]
     assert main(["translate", "--checkpoint", ckpt, "--input", str(src_file), "--beam", "0"]) == 2

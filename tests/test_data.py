@@ -1,6 +1,9 @@
 """Corpus I/O, vocabulary, synthetic task generators, and the windowed
 Bayes oracle."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,6 +204,31 @@ def test_generation_is_seed_deterministic():
     assert generate_pairs(spec) == generate_pairs(spec)
     other = SyntheticSpec(task="copy", n_pairs=10, len_range=(2, 5), vocab_size=8, seed=8)
     assert generate_pairs(spec) != generate_pairs(other)
+
+
+# SHA-256 of the corpora below, as generated before any speed-up of the
+# generator; every later version must produce the same bytes
+SYNTHETIC_DIGEST = "15b850b7b1dfd5c51cb61819202c4e16c369da94b6c4299450db089dc22a6d68"
+
+
+def test_synthetic_data_is_byte_identical():
+    """Pairs, splits, vocabularies and id sequences of copy, reverse and
+    periodic_mode (d=1 and d=4) corpora at three seeds, hashed."""
+    digest = hashlib.sha256()
+    for task, d in (("copy", None), ("reverse", None), ("periodic_mode", 1), ("periodic_mode", 4)):
+        for seed in (0, 1, 7):
+            for vocab_size in (8, 30):
+                spec = SyntheticSpec(
+                    task=task, n_pairs=200, len_range=(3, 12), vocab_size=vocab_size, d=d, seed=seed
+                )
+                pairs = generate_pairs(spec)
+                train, test = split_pairs(pairs, 0.2, seed=seed)
+                src_vocab = Vocab.build(s for s, _ in train)
+                tgt_vocab = Vocab.build(t for _, t in train)
+                corpus = numericalize(test, src_vocab, tgt_vocab, max_len=10)
+                doc = [pairs, train, test, src_vocab.itos, tgt_vocab.itos, corpus.items, corpus.dropped]
+                digest.update(json.dumps(doc).encode("utf-8"))
+    assert digest.hexdigest() == SYNTHETIC_DIGEST
 
 
 def test_periodic_positions_spacing():

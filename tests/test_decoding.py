@@ -128,6 +128,56 @@ def test_incremental_matches_parallel(variant, k):
             prefix.append(t)
 
 
+# Contextual models, whose decode step runs the top layer for the newest
+# row alone while the layers below rerun the prefix.
+CONTEXTUAL = {
+    "AT": dict(variant="AT"),
+    "control": dict(variant="MAT", k=2, transparent=False),
+    "pre-LN AT": dict(variant="AT", post_layernorm=False),
+}
+
+
+@pytest.mark.parametrize("dec_layers", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(CONTEXTUAL))
+def test_contextual_step_rows_match_teacher_forcing(name, dec_layers):
+    """Every row a contextual decode step scores, one sentence at a time
+    or in a padded batch of 1 or 4 hypotheses per sentence, matches the
+    last row of the teacher-forced forward over its prefix."""
+    rng = np.random.default_rng(59 + dec_layers)
+    model = make_model(seed=dec_layers, dec_layers=dec_layers, **CONTEXTUAL[name])
+
+    def teacher_forced(memory, prefix):
+        with no_grad():
+            return decode_forward(model, memory, np.array(prefix)).data[-1]
+
+    src = random_source(rng, n=4)
+    with no_grad():
+        memory = encode(model, src)
+    state = init_state(model, src)
+    prefix = [BOS_ID]
+    for _ in range(8):
+        np.testing.assert_allclose(incremental_step(state), teacher_forced(memory, prefix), atol=1e-5, rtol=0)
+        token = int(rng.integers(4, 9))
+        state.push(token)
+        prefix.append(token)
+
+    sources = [random_source(rng, n=n) for n in (1, 3, 6)]
+    with no_grad():
+        memories = [encode(model, s) for s in sources]
+    for width in (1, 4):
+        batch = RowBatch(model, sources)
+        prefixes = [[BOS_ID] for _ in sources]
+        for _ in range(6):
+            per = len(prefixes) // len(sources)
+            for r, (row, prefix) in enumerate(zip(batch.logits(), prefixes)):
+                np.testing.assert_allclose(row, teacher_forced(memories[r // per], prefix), atol=1e-5, rtol=0)
+            parents = np.repeat(np.arange(len(sources)) * per, width)
+            parents += rng.integers(0, per, size=parents.size)
+            tokens = rng.integers(4, 9, size=parents.size)
+            batch.advance(np.arange(len(sources)), parents, tokens)
+            prefixes = [prefixes[p] + [int(t)] for p, t in zip(parents, tokens)]
+
+
 # ---------------------------------------------------------------- greedy
 
 
@@ -327,8 +377,11 @@ def test_decode_batch_edge_cases():
 
 @pytest.mark.parametrize("variant,k", [("MAT", 3), ("TAT", None), ("AT", None)])
 def test_decode_stats_count_steps_scores_and_state(variant, k):
-    """Per-sentence stats agree with the closed-form report: one row of
-    a transparent decoder scores min(t, k) keys per layer and head."""
+    """Per-sentence stats count every score computed. One row of a
+    transparent decoder scores min(t, k) keys per layer and head, as the
+    closed-form report says. A contextual row holding t tokens reruns the
+    t x t causal mask in every layer but the top, and its top layer scores
+    the newest row's t keys."""
     model = make_model(variant=variant, k=k, dec_layers=2, heads=2, max_len=32)
     # a zero final layer norm gives all-zero logits: the lowest id, PAD,
     # wins every step, so no hypothesis ever ends
@@ -340,10 +393,14 @@ def test_decode_stats_count_steps_scores_and_state(variant, k):
             assert stats["steps"] == 10
             window = 10 if k is None else k
             assert stats["resident_floats"] == window * model.config.d_model
-            if variant != "AT":
-                per_row = count_decode_ops(model, 10)["total_self_attn_scores"]
-                first_step = model.config.dec_layers * model.config.heads  # one row
-                assert stats["self_attn_scores"] == beam * (per_row - first_step) + first_step
+            layers, heads = model.config.dec_layers, model.config.heads
+            if variant == "AT":
+                per_step = [heads * ((layers - 1) * t * (t + 1) // 2 + t) for t in range(1, 11)]
+            else:
+                per_step = [heads * layers * min(t, window) for t in range(1, 11)]
+                assert sum(per_step) == count_decode_ops(model, 10)["total_self_attn_scores"]
+            # the first step has one row per sentence, later ones beam rows
+            assert stats["self_attn_scores"] == per_step[0] + beam * sum(per_step[1:])
 
 
 # ------------------------------------------------------------ op counts

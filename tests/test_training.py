@@ -9,7 +9,18 @@ import numpy as np
 import pytest
 
 from markovnmt.data import SyntheticSpec, Vocab, generate_pairs, numericalize
-from markovnmt.model import BOS_ID, EOS_ID, PAD_ID, ModelConfig, build_model, decode_forward, encode
+from markovnmt.model import (
+    BOS_ID,
+    EOS_ID,
+    PAD_ID,
+    CheckpointError,
+    ModelConfig,
+    build_model,
+    decode_forward,
+    encode,
+    load_checkpoint,
+    save_checkpoint,
+)
 from markovnmt.tensor import NonFiniteError, Tensor, cross_entropy, single_blas_thread
 from markovnmt.training import (
     AdamW,
@@ -325,3 +336,62 @@ def test_resume_restores_optimizer_exactly(tmp_path):
     batch = make_batches(items, 150)[0]
     stats = train_step(model2, opt2, batch, 0.1, np.random.Generator(np.random.PCG64(0)))
     assert stats["lr"] == pytest.approx(schedule_lr(0.05, 9, 20))
+
+
+def _trained_checkpoint_parts(tmp_path):
+    """A model after two training steps, and the optimizer meta and moment
+    tensors of its training checkpoint."""
+    items, vocab = micro_task()
+    model = micro_model(vocab)
+    settings = TrainSettings(steps=2, max_tokens_per_batch=150, warmup=20, log_every=1, seed=0)
+    opt = AdamW.from_settings(settings)
+    train(model, items, settings, opt=opt)
+    path = tmp_path / "good.mnmt"
+    save_training_checkpoint(path, model, opt)
+    loaded = load_checkpoint(path)
+    moments = {k: a for k, a in loaded.tensors.items() if k.startswith("opt.")}
+    return model, loaded.meta["optimizer"], moments
+
+
+def test_training_checkpoint_rejects_incomplete_optimizer_state(tmp_path):
+    model, opt_meta, moments = _trained_checkpoint_parts(tmp_path)
+    for field in ("base_lr", "step_count", "clip_norm"):
+        path = tmp_path / f"no-{field}.mnmt"
+        partial = {k: v for k, v in opt_meta.items() if k != field}
+        save_checkpoint(path, model, extra_tensors=moments, meta={"optimizer": partial})
+        with pytest.raises(CheckpointError, match=field):
+            load_training_checkpoint(path)
+    path = tmp_path / "text-lr.mnmt"
+    save_checkpoint(path, model, extra_tensors=moments, meta={"optimizer": opt_meta | {"base_lr": "0.05"}})
+    with pytest.raises(CheckpointError, match="base_lr"):
+        load_training_checkpoint(path)
+
+
+def test_training_checkpoint_rejects_moments_that_fit_no_parameter(tmp_path):
+    model, opt_meta, moments = _trained_checkpoint_parts(tmp_path)
+    name = "dec.0.ffn.w1"
+    shape = moments[f"opt.m.{name}"].shape
+    bad = {
+        "unknown name": moments | {"opt.m.nope": np.zeros(3), "opt.v.nope": np.zeros(3)},
+        "short moment": moments | {f"opt.m.{name}": np.zeros(1)},
+        "transposed moment": moments | {f"opt.v.{name}": np.zeros(shape[::-1])},
+        "first moment only": {k: v for k, v in moments.items() if k != f"opt.v.{name}"},
+    }
+    for label, extra in bad.items():
+        path = tmp_path / f"{label}.mnmt".replace(" ", "-")
+        save_checkpoint(path, model, extra_tensors=extra, meta={"optimizer": opt_meta})
+        with pytest.raises(CheckpointError):
+            load_training_checkpoint(path)
+            pytest.fail(label)
+
+
+def test_training_checkpoint_rejects_non_finite_moments(tmp_path):
+    model, opt_meta, moments = _trained_checkpoint_parts(tmp_path)
+    for value in (np.nan, np.inf):
+        key = "opt.v.tgt_embed"
+        poisoned = moments[key].copy()
+        poisoned[0, 0] = value
+        path = tmp_path / f"moment-{value}.mnmt"
+        save_checkpoint(path, model, extra_tensors=moments | {key: poisoned}, meta={"optimizer": opt_meta})
+        with pytest.raises(CheckpointError, match="NaN or Inf"):
+            load_training_checkpoint(path)
