@@ -28,7 +28,6 @@ from .data import (
     VocabError,
     detokenize,
     generate_pairs,
-    mode_target_positions,
     numericalize,
     parse_corpus,
     split_pairs,
@@ -40,10 +39,9 @@ from .decoding import BATCH_SENTENCES, count_decode_ops, decode_batch
 from .evaluation import (
     SweepTemplate,
     bucketed_bleu,
+    choose_test_metric,
     corpus_bleu,
-    greedy_sequence_accuracy,
     run_order_sweep,
-    teacher_forced_accuracy,
     write_sweep_csv,
 )
 from .model import (
@@ -191,10 +189,15 @@ def load_run_config(path: str, set_args: list[str] | None = None) -> dict:
     return merged
 
 
-def _model_config_from_run(cfg: dict, src_vocab: int, tgt_vocab: int) -> ModelConfig:
+def _model_config_from_run(
+    cfg: dict, src_vocab: int | None = None, tgt_vocab: int | None = None
+) -> ModelConfig:
+    """The run's validated model config, seeded from the run. Vocabulary
+    sizes come from the corpus when given; commands that read no corpus
+    take the model section's, or 16."""
     section = dict(cfg["model"])
-    section["src_vocab_size"] = src_vocab
-    section["tgt_vocab_size"] = tgt_vocab
+    section["src_vocab_size"] = src_vocab or section["src_vocab_size"] or 16
+    section["tgt_vocab_size"] = tgt_vocab or section["tgt_vocab_size"] or 16
     section["seed"] = cfg["seed"]
     try:
         return ensure_valid(ModelConfig.from_dict(section))
@@ -308,6 +311,14 @@ def cmd_train(args) -> int:
     train_num = numericalize(train_pairs, src_vocab, tgt_vocab, model_cfg.max_len)
     if not train_num.items:
         raise UsageError("every training pair exceeds max_len")
+    test_num = numericalize(test_pairs, src_vocab, tgt_vocab, model_cfg.max_len)
+    syn = cfg["data"]["synthetic"] or {}
+    try:
+        metric, score = choose_test_metric(
+            syn.get("task"), syn.get("d"), test_pairs, test_num, model_cfg.max_len, limit=200
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     settings = _training_settings_from_run(cfg)
     model = build_model(model_cfg)
     opt = AdamW.from_settings(settings)
@@ -330,18 +341,9 @@ def cmd_train(args) -> int:
         "n_train_pairs": len(train_num.items),
         "dropped_pairs": train_num.dropped,
     }
-    if test_pairs:
-        test_num = numericalize(test_pairs, src_vocab, tgt_vocab, model_cfg.max_len)
-        if test_num.items:
-            syn = cfg["data"]["synthetic"]
-            if syn and syn.get("task") == "periodic_mode":
-                d = syn["d"]
-                positions = [mode_target_positions(d, len(s)) for s, _ in test_pairs]
-                res = teacher_forced_accuracy(model, test_num.items, lambda i: positions[i])
-                summary["test_metric"] = {"mode_position_accuracy": res.accuracy, "n": res.n_scored}
-            else:
-                res = greedy_sequence_accuracy(model, test_num.items, limit=200)
-                summary["test_metric"] = {"sequence_accuracy": res.accuracy, "n": res.n_scored}
+    if test_num.items:
+        res = score(model)
+        summary["test_metric"] = {metric: res.accuracy, "n": res.n_scored}
     with open(os.path.join(run_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -468,11 +470,7 @@ def cmd_audit_leakage(args) -> int:
         model = model_from_checkpoint(args.checkpoint)
     else:
         cfg = load_run_config(args.config, args.set or [])
-        section = dict(cfg["model"])
-        section["src_vocab_size"] = section.get("src_vocab_size") or 16
-        section["tgt_vocab_size"] = section.get("tgt_vocab_size") or 16
-        section["seed"] = cfg["seed"]
-        model = build_model(ModelConfig.from_dict(section))
+        model = build_model(_model_config_from_run(cfg))
     report = audit_model(
         model, n_sentences=args.sentences, src_len=args.src_len, tgt_len=args.tgt_len, seed=args.seed
     )
@@ -490,12 +488,7 @@ def cmd_count_ops(args) -> int:
     if args.checkpoint:
         cfg = load_checkpoint(args.checkpoint).config
     else:
-        run_cfg = load_run_config(args.config, args.set or [])
-        section = dict(run_cfg["model"])
-        section["src_vocab_size"] = section.get("src_vocab_size") or 16
-        section["tgt_vocab_size"] = section.get("tgt_vocab_size") or 16
-        section["seed"] = run_cfg["seed"]
-        cfg = ModelConfig.from_dict(section)
+        cfg = _model_config_from_run(load_run_config(args.config, args.set or []))
     print(json.dumps(count_decode_ops(cfg, args.n), sort_keys=True))
     return 0
 

@@ -11,11 +11,13 @@ step reruns every layer but the top over the whole prefix, whose rows are
 the next layer's keys and values. The top layer's output feeds only the
 logits, so it runs for the newest row alone.
 
-Each decoder layer's cross-attention keys and values are projected once
-per sentence. :func:`decode_batch` steps every live row (sentence x beam
-hypothesis) together: all rows hold the same number of tokens, so their
-states stack into one (rows, w, d) block. One sentence decoded greedily
-runs as single rows through :func:`incremental_step`.
+One state class, :class:`DecoderState`, holds every decode: the rows
+(sentence x beam hypothesis) of up to :data:`BATCH_SENTENCES` sentences,
+which all hold the same number of tokens, so their static rows stack into
+one (rows, w, d) block. Each decoder layer's cross-attention keys and
+values are projected once per sentence. :func:`incremental_step` returns
+the next-token logits of every row, (rows, V); a single hypothesis
+stepped by hand is a one-row state.
 
 Per-step instrumentation counts attention scores actually computed so the
 closed-form complexity report can be checked against reality.
@@ -23,7 +25,7 @@ closed-form complexity report can be checked against reality.
 
 from __future__ import annotations
 
-from collections import deque
+import copy
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,90 +40,14 @@ from .model import (
     decode_hidden,
     decoder_self_mask,
     embed_target_static,
-    encode,
     encode_batch,
     output_logits,
     project_memory,
 )
 # imported so that per-module tracing (bench/spans.py) finds them here too
 from .attention import multi_head_attention, transparent_self_attention  # noqa: F401
+from .model import encode  # noqa: F401
 from .tensor import Tensor, no_grad
-
-
-def _step_logits(
-    model: Model,
-    static: np.ndarray,
-    cross_kv: list[tuple[Tensor, Tensor]],
-    mem_allow: np.ndarray | None,
-    counts: dict,
-) -> np.ndarray:
-    """Next-token logits (rows, V) of rows whose static embeddings so far
-    are ``static`` (rows, w, d): the window for MAT, all rows otherwise."""
-    cfg = model.config
-    with no_grad():
-        if cfg.is_transparent():
-            # only the newest row is computed; keys and values come straight
-            # from the static rows (the k kept rows ARE the banded window)
-            hidden = decode_hidden(
-                model, Tensor(static[:, -1:]), None, None, mem_allow,
-                counts=counts, kv=Tensor(static), cross_kv=cross_kv,
-            )
-        else:
-            # contextual keys/values: the layers below the top rerun the
-            # prefix, and the top layer runs for the newest row alone
-            allow = decoder_self_mask(cfg, static.shape[1])[-1:]
-            hidden = decode_hidden(
-                model, Tensor(static), None, allow, mem_allow, counts=counts, cross_kv=cross_kv
-            )
-        return output_logits(model, hidden).data[:, 0]
-
-
-@dataclass
-class DecoderState:
-    """Everything one partial translation needs between decode steps.
-
-    ``history`` holds static embedding rows only. For a windowed
-    transparent model it is a deque capped at k entries, so resident state
-    stays at k * d_model floats no matter how long generation runs. The
-    encoder memory's cross-attention keys and values, projected once per
-    sentence, are shared and constant; they are not part of the per-token
-    accounting.
-    """
-
-    model: Model
-    cross_kv: list[tuple[Tensor, Tensor]]  # per decoder layer, read-only
-    history: "deque[np.ndarray] | list[np.ndarray]"
-    step: int = 0  # tokens pushed so far; also the next absolute position
-    counts: dict = field(default_factory=dict)
-
-    def resident_floats(self) -> int:
-        """Float count of per-token decoder state currently held."""
-        return len(self.history) * self.model.config.d_model
-
-    def push(self, token_id: int) -> None:
-        """Append one token's static embedding at the next position."""
-        cfg = self.model.config
-        if self.step >= cfg.max_len:
-            raise ValueError(f"decoded past max_len={cfg.max_len}")
-        with no_grad():
-            row = embed_target_static(
-                self.model, np.asarray([token_id], dtype=np.int64), offset=self.step
-            ).data[0]
-        self.history.append(row)
-        self.step += 1
-
-    def clone(self) -> "DecoderState":
-        if isinstance(self.history, deque):
-            hist: deque | list = deque(self.history, maxlen=self.history.maxlen)
-        else:
-            hist = list(self.history)
-        return DecoderState(
-            model=self.model,
-            cross_kv=self.cross_kv,
-            history=hist,
-            step=self.step,
-            counts=dict(self.counts),
-        )
 
 
 def _window(cfg: ModelConfig) -> int | None:
@@ -129,28 +55,14 @@ def _window(cfg: ModelConfig) -> int | None:
     return cfg.k if cfg.variant == "MAT" and cfg.is_transparent() else None
 
 
-def init_state(model: Model, src_ids) -> DecoderState:
-    """Encode the source and seed the decoder with BOS."""
-    with no_grad():
-        cross_kv = project_memory(model, encode(model, src_ids))
-    k = _window(model.config)
-    history: deque | list = [] if k is None else deque(maxlen=k)
-    state = DecoderState(model=model, cross_kv=cross_kv, history=history)
-    state.push(BOS_ID)
-    return state
-
-
-def incremental_step(state: DecoderState) -> np.ndarray:
-    """Logits (V,) for the next token given everything pushed so far."""
-    static = np.stack(state.history)[None]
-    return _step_logits(state.model, static, state.cross_kv, None, state.counts)[0]
-
-
-class RowBatch:
+class DecoderState:
     """Decode state of S sentences with R rows (hypotheses) each, stepping
     together. Row r belongs to sentence r // R. Every row holds the same
     number of tokens, so the static rows stack into one (S*R, w, d) block:
-    the last k for windowed MAT, all of them otherwise.
+    the last k for windowed MAT, all of them otherwise. That block is the
+    only per-token state; the encoder memory's cross-attention keys and
+    values, projected once per sentence, are read-only and not part of the
+    per-token accounting.
     """
 
     def __init__(self, model: Model, src_batch: Sequence):
@@ -169,16 +81,12 @@ class RowBatch:
             bos = np.full((len(srcs), 1), BOS_ID, dtype=np.int64)
             self.static = embed_target_static(model, bos).data
         self.sentences = len(srcs)
-        self.step = 1
+        self.step = 1  # tokens pushed so far (BOS); also the next position
         self.counts: dict = {}
 
     def resident_floats(self) -> int:
-        """Static floats each row holds, as :meth:`DecoderState.resident_floats`."""
+        """Float count of per-token decoder state one row holds."""
         return self.static.shape[1] * self.static.shape[2]
-
-    def logits(self) -> np.ndarray:
-        """Next-token logits of every row, (S*R, V)."""
-        return _step_logits(self.model, self.static, self.cross_kv, self.mem_allow, self.counts)
 
     def advance(self, keep: np.ndarray, parents: np.ndarray, tokens: np.ndarray) -> None:
         """Keep sentences ``keep`` (indices into the current ones, in order);
@@ -205,23 +113,43 @@ class RowBatch:
         self.static = np.concatenate([kept, new], axis=1)
         self.step += 1
 
+    def push(self, token_id: int) -> None:
+        """Append one token to a one-row state."""
+        self.advance([0], [0], [token_id])
 
-class _OneRow:
-    """:class:`RowBatch` interface over one :class:`DecoderState`, so that
-    one sentence decoded greedily steps through :func:`incremental_step`."""
+    def clone(self) -> "DecoderState":
+        # advance replaces the arrays it changes and never edits them in
+        # place, so a shallow copy with its own counts is independent
+        twin = copy.copy(self)
+        twin.counts = dict(self.counts)
+        return twin
 
-    def __init__(self, model: Model, src_ids):
-        self.state = init_state(model, src_ids)
-        self.counts = self.state.counts
 
-    def resident_floats(self) -> int:
-        return self.state.resident_floats()
+def init_state(model: Model, src_ids) -> DecoderState:
+    """Encode one source and seed its one-row state with BOS."""
+    return DecoderState(model, [src_ids])
 
-    def logits(self) -> np.ndarray:
-        return incremental_step(self.state)[None]
 
-    def advance(self, keep, parents, tokens) -> None:
-        self.state.push(int(tokens[0]))
+def incremental_step(state: DecoderState) -> np.ndarray:
+    """Next-token logits (rows, V) of every row of ``state``."""
+    cfg = state.model.config
+    static, counts = state.static, state.counts
+    with no_grad():
+        if cfg.is_transparent():
+            # only the newest row is computed; keys and values come straight
+            # from the static rows (the k kept rows ARE the banded window)
+            hidden = decode_hidden(
+                state.model, Tensor(static[:, -1:]), state.cross_kv, None, state.mem_allow,
+                counts=counts, kv=Tensor(static),
+            )
+        else:
+            # contextual keys/values: the layers below the top rerun the
+            # prefix, and the top layer runs for the newest row alone
+            allow = decoder_self_mask(cfg, static.shape[1])[-1:]
+            hidden = decode_hidden(
+                state.model, Tensor(static), state.cross_kv, allow, state.mem_allow, counts=counts
+            )
+        return output_logits(state.model, hidden).data[:, 0]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -272,8 +200,7 @@ def decode_batch(
 
     With beam 1 and alpha 0 the search is greedy decoding, ties broken
     toward the lowest token id, and a sentence stops at its EOS: no
-    extension of a runner-up can outscore an EOS that ranked first. A
-    single sentence then steps through :func:`incremental_step`, so
+    extension of a runner-up can outscore an EOS that ranked first, so
     ``beam_decode(beam_size=1)`` and ``greedy_decode`` are the same code.
     """
     if beam < 1:
@@ -286,11 +213,7 @@ def decode_batch(
     results: list[BeamResult] = []
     for lo in range(0, len(src_batch), BATCH_SENTENCES):
         chunk = src_batch[lo : lo + BATCH_SENTENCES]
-        if len(chunk) == 1 and beam == 1 and alpha == 0.0:
-            rows = _OneRow(model, chunk[0])
-        else:
-            rows = RowBatch(model, chunk)
-        results.extend(_search(rows, len(chunk), beam, alpha, budget))
+        results.extend(_search(DecoderState(model, chunk), beam, alpha, budget))
     return results
 
 
@@ -316,9 +239,10 @@ def _ranked_extensions(total: np.ndarray, beam: int, vocab: int) -> list[tuple[i
     return chosen
 
 
-def _search(rows, n_sent: int, beam: int, alpha: float, budget: int) -> list[BeamResult]:
-    """Beam search over ``rows`` (a :class:`RowBatch` or :class:`_OneRow`)."""
+def _search(state: DecoderState, beam: int, alpha: float, budget: int) -> list[BeamResult]:
+    """Beam search over every sentence of a fresh ``state``."""
     greedy = beam == 1 and alpha == 0.0
+    n_sent = state.sentences
     active = list(range(n_sent))  # sentence of each row group, in order
     hyp_tokens: list[list[int]] = [[] for _ in active]  # per row
     hyp_logp = np.zeros(n_sent)  # per row; -inf marks a padding row
@@ -328,10 +252,10 @@ def _search(rows, n_sent: int, beam: int, alpha: float, budget: int) -> list[Bea
     for t in range(budget):
         groups = len(active)
         width = len(hyp_tokens) // groups
-        before = rows.counts.get("self_attn_scores", 0)
-        resident = rows.resident_floats()
-        logits = rows.logits()
-        scores = (rows.counts.get("self_attn_scores", 0) - before) // groups
+        before = state.counts.get("self_attn_scores", 0)
+        resident = state.resident_floats()
+        logits = incremental_step(state)
+        scores = (state.counts.get("self_attn_scores", 0) - before) // groups
         for s in active:
             stats[s]["steps"] += 1
             stats[s]["self_attn_scores"] += scores
@@ -372,7 +296,7 @@ def _search(rows, n_sent: int, beam: int, alpha: float, budget: int) -> list[Bea
         hyp_tokens, hyp_logp = next_tokens, np.asarray(next_logp)
         if not active or t == budget - 1:
             break
-        rows.advance(np.asarray(keep), np.asarray(parents), np.asarray(tokens))
+        state.advance(np.asarray(keep), np.asarray(parents), np.asarray(tokens))
 
     width = len(hyp_tokens) // max(len(active), 1)
     for row, (toks, logp) in enumerate(zip(hyp_tokens, hyp_logp.tolist())):

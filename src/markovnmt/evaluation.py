@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import (
+    NumericalizedCorpus,
     SyntheticSpec,
     Vocab,
     generate_pairs,
@@ -26,17 +27,9 @@ from .data import (
     split_pairs,
 )
 from .decoding import decode_batch
-from .model import (
-    PAD_ID,
-    Model,
-    ModelConfig,
-    build_model,
-    decode_forward_batch,
-    encode_batch,
-    ensure_valid,
-)
+from .model import PAD_ID, Model, ModelConfig, build_model, ensure_valid
 from .tensor import no_grad, single_blas_thread
-from .training import TrainSettings, make_eval_batches, train
+from .training import TrainSettings, batch_logits, make_eval_batches, train
 
 DEFAULT_BUCKET_EDGES = (10, 20, 30, 40, 50, 60)
 
@@ -144,9 +137,7 @@ def teacher_forced_accuracy(
     total = 0
     with no_grad():
         for batch in make_eval_batches(items):
-            memory = encode_batch(model, batch.src, batch.src_real)
-            logits = decode_forward_batch(model, memory, batch.tgt_in, batch.src_real)
-            pred = logits.data.argmax(axis=-1)  # (B, n)
+            pred = batch_logits(model, batch).data.argmax(axis=-1)  # (B, n)
             for row, item_idx in enumerate(batch.indices):
                 real = batch.tgt_out[row] != PAD_ID
                 if position_filter is None:
@@ -178,6 +169,36 @@ def greedy_sequence_accuracy(
     decoded = decode_batch(model, [src_ids for src_ids, _ in subset])
     hits = sum(out.tokens == list(tgt_ids) for out, (_, tgt_ids) in zip(decoded, subset))
     return AccuracyResult(accuracy=hits / len(subset), n_scored=len(subset))
+
+
+def choose_test_metric(
+    task: str | None,
+    d: int | None,
+    test_pairs: Sequence,
+    test_num: NumericalizedCorpus,
+    max_len: int,
+    limit: int | None = None,
+) -> tuple[str, Callable[[Model], AccuracyResult]]:
+    """A run's test metric: its name, and a function that scores a model
+    on ``test_num``'s items.
+
+    ``periodic_mode`` scores teacher-forced accuracy at the mode positions
+    of each test pair (``d`` is its dependency distance); any other task
+    scores greedy sequence accuracy over the first ``limit`` items. Mode
+    positions are indexed by test-pair order, which matches the items only
+    when numericalization dropped no pair, so a drop is a ValueError,
+    raised here before any model is trained.
+    """
+    if task != "periodic_mode":
+        return "sequence_accuracy", lambda model: greedy_sequence_accuracy(model, test_num.items, limit)
+    if test_num.dropped:
+        raise ValueError(
+            f"{test_num.dropped} test pairs exceed max_len={max_len}; raise max_len or shorten the task"
+        )
+    positions = [mode_target_positions(d, len(src)) for src, _ in test_pairs]
+    return "mode_position_accuracy", lambda model: teacher_forced_accuracy(
+        model, test_num.items, lambda i: positions[i]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,27 +263,16 @@ def run_sweep_cell(template: SweepTemplate, variant: str, k: int | None, seed: i
     }
     try:
         train_pairs, test_pairs, vocab, train_num, test_num = _prepare(template)
+        spec = template.data
+        metric, score = choose_test_metric(
+            spec.task, spec.d, test_pairs, test_num, template.model.max_len, template.eval_limit
+        )
         cfg = _cell_config(template, variant, k, seed, vocab)
         model = build_model(cfg)
         settings = replace(template.training, seed=seed)
         train(model, train_num.items, settings)
-        if template.data.task == "periodic_mode":
-            if test_num.dropped:
-                # the position filter is indexed by test-pair order, which
-                # only matches the numericalized items when nothing dropped
-                raise ValueError(
-                    f"{test_num.dropped} test pairs exceed max_len="
-                    f"{template.model.max_len}; raise max_len or shorten the task"
-                )
-            d = template.data.d
-            positions = [
-                mode_target_positions(d, len(src)) for src, _ in test_pairs
-            ]
-            res = teacher_forced_accuracy(model, test_num.items, lambda i: positions[i])
-            row["metric"] = "mode_position_accuracy"
-        else:
-            res = greedy_sequence_accuracy(model, test_num.items, template.eval_limit)
-            row["metric"] = "sequence_accuracy"
+        res = score(model)
+        row["metric"] = metric
         value = res.accuracy
         if not math.isfinite(value):
             raise FloatingPointError("metric is not finite")

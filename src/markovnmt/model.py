@@ -433,18 +433,17 @@ def project_memory(model: Model, memory: Tensor) -> list[tuple[Tensor, Tensor]]:
 def decode_hidden(
     model: Model,
     static: Tensor,
-    memory: Tensor | None,
+    cross_kv: list[tuple[Tensor, Tensor]],
     self_allow: np.ndarray | None,
     mem_allow: np.ndarray | None = None,
     train: bool = False,
     rng=None,
     counts: dict | None = None,
     kv: Tensor | None = None,
-    cross_kv: list[tuple[Tensor, Tensor]] | None = None,
 ) -> Tensor:
     """Decoder stack from a prepared static-embedding block to final hidden.
 
-    ``static`` is (n, d) or (B, n, d), the layer-0 input. In transparent
+    ``static`` is (B, n, d), the layer-0 input. In transparent
     variants ``kv`` is the key/value source of every self-attention; it
     defaults to ``static``, and a decode step passes the newest row as
     ``static`` and its window as ``kv``.
@@ -458,9 +457,9 @@ def decode_hidden(
     Those rows are cut from the layer below without a gradient path, so
     this form is for inference only.
 
-    ``cross_kv``, from :func:`project_memory` over S sentences, stands in
-    for ``memory``. The B rows of ``static`` are then S groups of B/S rows,
-    one group per sentence, and ``mem_allow`` is (S, 1, m) or None.
+    ``cross_kv`` is the encoder memory of S sentences, projected by
+    :func:`project_memory`. The B rows of ``static`` are S groups of B/S
+    rows, one group per sentence, and ``mem_allow`` is (S, 1, m) or None.
     """
     cfg = model.config
     transparent = cfg.is_transparent()
@@ -493,10 +492,9 @@ def decode_hidden(
             train,
             rng,
         )
-        source = memory if cross_kv is None else cross_kv[i]
         h = _residual_block(
             h,
-            lambda z: _cross_attention(z, source, layer.cross_attn, mem_allow),
+            lambda z: _cross_attention(z, cross_kv[i], layer.cross_attn, mem_allow),
             layer.ln_cross,
             cfg,
             train,
@@ -509,19 +507,19 @@ def decode_hidden(
     return h
 
 
-def _cross_attention(z: Tensor, memory, params: AttentionParams, mem_allow) -> Tensor:
-    """Cross-attention over the encoder memory, or over S sentences' memory
-    projected by :func:`project_memory`. For the latter each sentence's B/S
-    rows of (B, n, d) queries form one block of queries, which attend
-    independently, so no key/value block is repeated per row."""
-    if not isinstance(memory, tuple):
-        return multi_head_attention(z, memory, params, mem_allow)
-    groups = memory[0].shape[0] // params.heads
+def _cross_attention(
+    z: Tensor, kv: tuple[Tensor, Tensor], params: AttentionParams, mem_allow
+) -> Tensor:
+    """Cross-attention over S sentences' memory, projected by
+    :func:`project_memory`. Each sentence's B/S rows of (B, n, d) queries
+    form one block of queries, which attend independently, so no key/value
+    block is repeated per row."""
+    groups = kv[0].shape[0] // params.heads
     rows, n, d = z.shape
     if rows == groups:
-        return multi_head_attention(z, memory, params, mem_allow)
+        return multi_head_attention(z, kv, params, mem_allow)
     blocks = reshape(z, (groups, rows // groups * n, d))
-    out = multi_head_attention(blocks, memory, params, mem_allow)
+    out = multi_head_attention(blocks, kv, params, mem_allow)
     return reshape(out, (rows, n, d))
 
 
@@ -542,11 +540,7 @@ def decode_forward(model: Model, memory: Tensor, tgt_in_ids, train: bool = False
     ids = np.asarray(tgt_in_ids, dtype=np.int64)
     if ids.ndim not in (1, 2):
         raise ValueError("decode_forward takes (n,) or (R, n) ids")
-    static = embed_target_static(model, np.atleast_2d(ids))
-    allow = decoder_self_mask(model.config, ids.shape[-1])
-    cross_kv = project_memory(model, memory)
-    hidden = decode_hidden(model, static, None, allow, None, train, rng, cross_kv=cross_kv)
-    logits = output_logits(model, hidden)
+    logits = decode_forward_batch(model, memory, np.atleast_2d(ids), None, train, rng)
     return logits if ids.ndim == 2 else reshape(logits, logits.shape[1:])
 
 
@@ -558,8 +552,10 @@ def decode_forward_batch(
     train: bool = False,
     rng=None,
 ) -> Tensor:
-    """Teacher-forced decoder pass over a padded batch; logits (B, n, V).
+    """Teacher-forced decoder pass over (B, n) target ids; logits (B, n, V).
 
+    ``memory`` is a padded batch (B, m, d), whose source pads ``src_real``
+    (B, m) marks, or one sentence's (m, d), which all B rows read.
     Target pads sit at sequence ends, so causal/banded masks already keep
     them out of real rows; only source pads need masking in cross-attention.
     """
@@ -567,7 +563,8 @@ def decode_forward_batch(
     static = embed_target_static(model, ids)
     allow = decoder_self_mask(model.config, ids.shape[-1])
     mem_allow = None if src_real is None else np.asarray(src_real, bool)[:, None, :]
-    hidden = decode_hidden(model, static, memory, allow, mem_allow, train, rng)
+    cross_kv = project_memory(model, memory)
+    hidden = decode_hidden(model, static, cross_kv, allow, mem_allow, train, rng)
     return output_logits(model, hidden)
 
 

@@ -119,6 +119,14 @@ def make_eval_batches(
     ]
 
 
+def batch_logits(
+    model: Model, batch: Batch, train: bool = False, rng: np.random.Generator | None = None
+) -> Tensor:
+    """Teacher-forced logits (B, n, V) of a batch; row t predicts tgt_out[:, t]."""
+    memory = encode_batch(model, batch.src, batch.src_real, train=train, rng=rng)
+    return decode_forward_batch(model, memory, batch.tgt_in, batch.src_real, train=train, rng=rng)
+
+
 def batch_loss(
     model: Model,
     batch: Batch,
@@ -127,8 +135,7 @@ def batch_loss(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Smoothed cross-entropy over a batch, averaged per non-pad target token."""
-    memory = encode_batch(model, batch.src, batch.src_real, train=train, rng=rng)
-    logits = decode_forward_batch(model, memory, batch.tgt_in, batch.src_real, train=train, rng=rng)
+    logits = batch_logits(model, batch, train, rng)
     b, n, v = logits.shape
     flat = reshape(logits, (b * n, v))
     return cross_entropy(flat, batch.tgt_out.reshape(-1), label_smoothing, ignore_index=PAD_ID)

@@ -300,6 +300,24 @@ def test_train_usage_errors(tmp_path, capsys):
     assert "line 2: invalid UTF-8" in capsys.readouterr().err
 
 
+def test_train_rejects_dropped_test_pairs_before_training(tmp_path, capsys):
+    # the mode positions are indexed by test-pair order, so a test pair too
+    # long for max_len would misalign the periodic_mode metric
+    cfg = _write_config(
+        tmp_path / "run.json",
+        data={
+            "synthetic": {
+                "task": "periodic_mode", "n_pairs": 30, "len_range": [6, 20], "vocab_size": 6,
+                "d": 2, "seed": 0, "test_fraction": 0.3,
+            }
+        },
+    )
+    rc = main(["train", "--config", cfg, "--out-root", str(tmp_path / "runs"), "--set", "model.max_len=16"])
+    assert rc == 2
+    assert "exceed max_len=16" in capsys.readouterr().err
+    assert not list((tmp_path / "runs").glob("*/checkpoint.mnmt"))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/inf inside the doomed forward
 def test_train_divergence_is_exit_code_one(tmp_path, capsys):
     cfg = _write_config(tmp_path / "run.json")

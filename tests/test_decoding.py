@@ -7,7 +7,6 @@ import pytest
 from markovnmt.decoding import (
     BeamResult,
     DecoderState,
-    RowBatch,
     beam_decode,
     count_decode_ops,
     decode_batch,
@@ -60,7 +59,6 @@ def test_windowed_state_is_a_ring_buffer():
     assert state.step == 1  # BOS pushed
     for _ in range(100):
         state.push(4)
-    assert len(state.history) == 5
     assert state.resident_floats() == 5 * 16
     assert state.step == 101
 
@@ -101,7 +99,7 @@ def test_clone_isolates_history_and_counts():
     copy.push(5)
     incremental_step(copy)
     assert copy.step == state.step + 1
-    assert len(copy.history) == len(state.history) + 1
+    assert copy.resident_floats() == state.resident_floats() + model.config.d_model
     assert copy.counts["self_attn_scores"] > state.counts["self_attn_scores"]
 
 
@@ -120,7 +118,7 @@ def test_incremental_matches_parallel(variant, k):
             memory = encode(model, src)
         prefix = [BOS_ID]
         for t in tokens:
-            inc = incremental_step(state)
+            inc = incremental_step(state)[0]
             with no_grad():
                 par = decode_forward(model, memory, np.array(prefix)).data[-1]
             np.testing.assert_allclose(inc, par, atol=1e-5)
@@ -156,7 +154,7 @@ def test_contextual_step_rows_match_teacher_forcing(name, dec_layers):
     state = init_state(model, src)
     prefix = [BOS_ID]
     for _ in range(8):
-        np.testing.assert_allclose(incremental_step(state), teacher_forced(memory, prefix), atol=1e-5, rtol=0)
+        np.testing.assert_allclose(incremental_step(state)[0], teacher_forced(memory, prefix), atol=1e-5, rtol=0)
         token = int(rng.integers(4, 9))
         state.push(token)
         prefix.append(token)
@@ -165,11 +163,11 @@ def test_contextual_step_rows_match_teacher_forcing(name, dec_layers):
     with no_grad():
         memories = [encode(model, s) for s in sources]
     for width in (1, 4):
-        batch = RowBatch(model, sources)
+        batch = DecoderState(model, sources)
         prefixes = [[BOS_ID] for _ in sources]
         for _ in range(6):
             per = len(prefixes) // len(sources)
-            for r, (row, prefix) in enumerate(zip(batch.logits(), prefixes)):
+            for r, (row, prefix) in enumerate(zip(incremental_step(batch), prefixes)):
                 np.testing.assert_allclose(row, teacher_forced(memories[r // per], prefix), atol=1e-5, rtol=0)
             parents = np.repeat(np.arange(len(sources)) * per, width)
             parents += rng.integers(0, per, size=parents.size)
@@ -305,38 +303,31 @@ def _teacher_forced_logp(model, src, tokens, budget):
 
 
 @pytest.mark.parametrize("variant,k", DIFF_MODELS)
-def test_row_batch_logits_match_one_row_steps(variant, k):
-    """Padded sentences with two hypotheses each, one sentence dropped on
-    the way: every batched row's logits equal its one-row step's."""
+def test_batched_rows_match_teacher_forcing(variant, k):
+    """Padded sentences with two hypotheses each, parents drawn at random
+    and one sentence dropped on the way: every row's logits equal the last
+    row of the teacher-forced forward over its sentence and prefix."""
     rng = np.random.default_rng(41)
     for seed in range(3):
         model = make_model(variant=variant, k=k, seed=seed)
         sources = [random_source(rng, n=int(n)) for n in rng.integers(1, 7, size=3)]
-        batch = RowBatch(model, sources)
-        states = [[init_state(model, src)] for src in sources]
+        with no_grad():
+            memories = [encode(model, src) for src in sources]
+        state = DecoderState(model, sources)
+        rows = [(s, [BOS_ID]) for s in range(len(sources))]  # sentence, prefix
         for step in range(6):
-            logits = batch.logits()
-            rows = [state for group in states for state in group]
+            logits = incremental_step(state)
             assert logits.shape == (len(rows), model.config.tgt_vocab_size)
-            for row, state in zip(logits, rows):
-                np.testing.assert_allclose(row, incremental_step(state), atol=1e-5, rtol=0)
-            keep = np.arange(len(states)) if step != 3 else np.array([0, 2])
-            states = [states[g] for g in keep]
-            width = len(rows) // batch.sentences
-            parents, tokens, grown = [], [], []
-            for g, group in zip(keep, states):
-                new_group = []
-                for hyp in range(2):
-                    parent = int(g) * width + hyp % len(group)
-                    token = int(rng.integers(4, 9))
-                    state = group[hyp % len(group)].clone()
-                    state.push(token)
-                    parents.append(parent)
-                    tokens.append(token)
-                    new_group.append(state)
-                grown.append(new_group)
-            batch.advance(keep, np.array(parents), np.array(tokens))
-            states = grown
+            for row, (s, prefix) in zip(logits, rows):
+                with no_grad():
+                    want = decode_forward(model, memories[s], np.array(prefix)).data[-1]
+                np.testing.assert_allclose(row, want, atol=1e-5, rtol=0)
+            keep = np.arange(state.sentences) if step != 3 else np.array([0, 2])
+            width = len(rows) // state.sentences
+            parents = np.repeat(keep * width, 2) + rng.integers(0, width, size=2 * len(keep))
+            tokens = rng.integers(4, 9, size=parents.size)
+            state.advance(keep, parents, tokens)
+            rows = [(rows[p][0], rows[p][1] + [int(t)]) for p, t in zip(parents, tokens)]
 
 
 @pytest.mark.parametrize("variant,k", DIFF_MODELS)
