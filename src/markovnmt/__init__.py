@@ -37,7 +37,6 @@ from .decoding import (
     incremental_step,
     init_state,
 )
-from .estimator import MarkovTranslator, NotFittedError, check_is_fitted
 from .evaluation import (
     SweepTemplate,
     bucketed_bleu,
@@ -89,11 +88,9 @@ __all__ = [
     "DecoderState",
     "EOS_ID",
     "GradientError",
-    "MarkovTranslator",
     "Model",
     "ModelConfig",
     "NonFiniteError",
-    "NotFittedError",
     "PAD_ID",
     "SweepTemplate",
     "SyntheticSpec",
@@ -108,7 +105,6 @@ __all__ = [
     "bucketed_bleu",
     "build_mask",
     "build_model",
-    "check_is_fitted",
     "corpus_bleu",
     "count_decode_ops",
     "decode_batch",

@@ -19,6 +19,8 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields
+from functools import partial
 
 from .audit import audit_model
 from .data import (
@@ -57,24 +59,17 @@ from .model import (
 from .tensor import NonFiniteError
 from .training import TrainSettings, AdamW, save_training_checkpoint, train
 
+
+def _section(settings) -> dict:
+    return {key: value for key, value in asdict(settings).items() if key != "seed"}
+
+
+# ModelConfig and TrainSettings hold the defaults. The seed is the run's; the
+# vocabulary sizes come from the data, or from the model section for commands
+# that read none.
 DEFAULT_RUN_CONFIG: dict = {
     "seed": 0,
-    "model": {
-        "variant": "MAT",
-        "k": 3,
-        "enc_layers": 2,
-        "dec_layers": 2,
-        "heads": 4,
-        "d_model": 64,
-        "d_ff": 128,
-        "max_len": 64,
-        "dropout": 0.1,
-        "post_layernorm": True,
-        "static_includes_position": True,
-        "transparent": None,
-        "src_vocab_size": None,  # filled from data; settable for audits
-        "tgt_vocab_size": None,
-    },
+    "model": {**_section(ModelConfig()), "src_vocab_size": None, "tgt_vocab_size": None},
     "data": {
         "train_tsv": None,
         "test_tsv": None,
@@ -84,23 +79,11 @@ DEFAULT_RUN_CONFIG: dict = {
         "max_vocab": None,
         "min_freq": 1,
     },
-    "training": {
-        "steps": 1000,
-        "max_tokens_per_batch": 2000,
-        "base_lr": 0.05,
-        "warmup": 400,
-        "beta1": 0.9,
-        "beta2": 0.98,
-        "eps": 1e-9,
-        "weight_decay": 0.01,
-        "clip_norm": 1.0,
-        "label_smoothing": 0.1,
-        "log_every": 50,
-    },
+    "training": _section(TrainSettings()),
     "decoding": {"beam_size": 1, "alpha": 0.0, "max_new": None},
 }
 
-SYNTHETIC_KEYS = {"task", "n_pairs", "len_range", "vocab_size", "d", "seed", "test_fraction"}
+SYNTHETIC_KEYS = {f.name for f in fields(SyntheticSpec)} | {"test_fraction"}
 
 
 class UsageError(ValueError):
@@ -166,12 +149,9 @@ def apply_set_overrides(cfg: dict, assignments: list[str]) -> dict:
     return cfg
 
 
-def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()[:12]
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 def load_run_config(path: str, set_args: list[str] | None = None) -> dict:
@@ -195,10 +175,9 @@ def _model_config_from_run(
     """The run's validated model config, seeded from the run. Vocabulary
     sizes come from the corpus when given; commands that read no corpus
     take the model section's, or 16."""
-    section = dict(cfg["model"])
+    section = dict(cfg["model"], seed=cfg["seed"])
     section["src_vocab_size"] = src_vocab or section["src_vocab_size"] or 16
     section["tgt_vocab_size"] = tgt_vocab or section["tgt_vocab_size"] or 16
-    section["seed"] = cfg["seed"]
     try:
         return ensure_valid(ModelConfig.from_dict(section))
     except ConfigError as exc:
@@ -206,14 +185,12 @@ def _model_config_from_run(
 
 
 def _training_settings_from_run(cfg: dict) -> TrainSettings:
-    section = dict(cfg["training"])
-    section["seed"] = cfg["seed"]
     try:
-        settings = TrainSettings.from_dict(section)
+        settings = TrainSettings.from_dict(dict(cfg["training"], seed=cfg["seed"]))
         settings.validate()
-        return settings
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return settings
 
 
 def _synthetic_spec(section: dict) -> tuple[SyntheticSpec, float]:
@@ -238,31 +215,43 @@ def _prepare_run_data(cfg: dict):
     syn = data["synthetic"]
     if (syn is None) == (data["train_tsv"] is None):
         raise UsageError("exactly one of data.train_tsv or data.synthetic is required")
+    if syn is not None and data["test_tsv"] is not None:
+        raise UsageError("data.test_tsv cannot be used with data.synthetic (use its test_fraction)")
+
+    def read_tsv(key: str) -> list:
+        try:
+            raw = parse_corpus(data[key])
+        except OSError as exc:
+            raise _file_error(f"data.{key}", data[key], exc) from exc
+        return [(tokenize(s, tokenizer), tokenize(t, tokenizer)) for s, t in raw]
+
     if syn is not None:
         spec, frac = _synthetic_spec(syn)
-        pairs = generate_pairs(spec)
-        train_pairs, test_pairs = split_pairs(pairs, frac, seed=spec.seed)
+        train_pairs, test_pairs = split_pairs(generate_pairs(spec), frac, seed=spec.seed)
     else:
-        try:
-            raw = parse_corpus(data["train_tsv"])
-        except FileNotFoundError as exc:
-            raise UsageError(str(exc)) from exc
-        train_pairs = [(tokenize(s, tokenizer), tokenize(t, tokenizer)) for s, t in raw]
-        test_pairs = []
-        if data["test_tsv"]:
-            raw_test = parse_corpus(data["test_tsv"])
-            test_pairs = [(tokenize(s, tokenizer), tokenize(t, tokenizer)) for s, t in raw_test]
+        train_pairs = read_tsv("train_tsv")
+        test_pairs = read_tsv("test_tsv") if data["test_tsv"] else []
     if not train_pairs:
         raise UsageError("training corpus is empty")
+    build = partial(Vocab.build, max_size=data["max_vocab"], min_freq=data["min_freq"])
     if data["shared_vocab"]:
-        vocab = Vocab.build(
-            [side for pair in train_pairs for side in pair], data["max_vocab"], data["min_freq"]
-        )
-        src_vocab = tgt_vocab = vocab
+        src_vocab = tgt_vocab = build([side for pair in train_pairs for side in pair])
     else:
-        src_vocab = Vocab.build([s for s, _ in train_pairs], data["max_vocab"], data["min_freq"])
-        tgt_vocab = Vocab.build([t for _, t in train_pairs], data["max_vocab"], data["min_freq"])
+        src_vocab, tgt_vocab = build([s for s, _ in train_pairs]), build([t for _, t in train_pairs])
     return train_pairs, test_pairs, src_vocab, tgt_vocab
+
+
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"{flag} must be comma-separated integers, got {text!r}") from exc
+
+
+def _file_error(flag: str, path: str, exc: Exception) -> UsageError:
+    if isinstance(exc, UnicodeDecodeError):
+        return UsageError(f"{flag} {path} is not valid UTF-8")
+    return UsageError(f"{flag} {path} cannot be opened: {exc.strerror or exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +289,6 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config, args.set or [])
-    run_dir = os.path.join(args.out_root, config_hash(cfg))
-    os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
     train_pairs, test_pairs, src_vocab, tgt_vocab = _prepare_run_data(cfg)
     model_cfg = _model_config_from_run(cfg, len(src_vocab), len(tgt_vocab))
     train_num = numericalize(train_pairs, src_vocab, tgt_vocab, model_cfg.max_len)
@@ -320,6 +303,12 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     settings = _training_settings_from_run(cfg)
+    # the run directory is made only once the config and data are usable
+    run_dir = os.path.join(args.out_root, config_hash(cfg))
+    os.makedirs(run_dir, exist_ok=True)
+    with open(os.path.join(run_dir, "config.json"), "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     model = build_model(model_cfg)
     opt = AdamW.from_settings(settings)
     history = train(
@@ -372,8 +361,16 @@ def cmd_translate(args) -> int:
     if args.max_new is not None and args.max_new < 0:
         raise UsageError(f"--max-new must be >= 0, got {args.max_new}")
     model, src_vocab, tgt_vocab, tokenizer = _load_translator(args.checkpoint)
-    fin = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8")
-    fout = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    try:
+        fin = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8")
+    except OSError as exc:
+        raise _file_error("--input", args.input, exc) from exc
+    try:
+        fout = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        if fin is not sys.stdin:
+            fin.close()
+        raise _file_error("--output", args.output, exc) from exc
 
     def flush(lines: list[str], first: int) -> None:
         sources = []
@@ -407,6 +404,8 @@ def cmd_translate(args) -> int:
                 first += len(lines)
                 lines = []
         flush(lines, first)
+    except UnicodeDecodeError as exc:
+        raise _file_error("--input", args.input, exc) from exc
     finally:
         if fin is not sys.stdin:
             fin.close()
@@ -415,47 +414,54 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+def _read_lines(flag: str, path: str) -> list[str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _file_error(flag, path, exc) from exc
 
 
 def cmd_evaluate(args) -> int:
-    hyps = [tokenize(line, args.tokenizer) for line in _read_lines(args.hyp)]
-    refs = [tokenize(line, args.tokenizer) for line in _read_lines(args.ref)]
+    hyps = [tokenize(line, args.tokenizer) for line in _read_lines("--hyp", args.hyp)]
+    refs = [tokenize(line, args.tokenizer) for line in _read_lines("--ref", args.ref)]
     if len(hyps) != len(refs):
         raise UsageError(f"{args.hyp} has {len(hyps)} lines, {args.ref} has {len(refs)}")
     report: dict = {"bleu": corpus_bleu(hyps, refs), "n_pairs": len(hyps)}
     if args.buckets:
-        edges = tuple(int(x) for x in args.buckets.split(","))
-        report["buckets"] = [
-            {"lo": b.lo, "hi": b.hi, "count": b.count, "bleu": b.bleu}
-            for b in bucketed_bleu(hyps, refs, edges)
-        ]
+        try:
+            buckets = bucketed_bleu(hyps, refs, [int(x) for x in args.buckets.split(",")])
+        except ValueError as exc:
+            raise UsageError(f"--buckets {args.buckets}: {exc}") from exc
+        report["buckets"] = [asdict(b) for b in buckets]
     print(json.dumps(report, sort_keys=True))
     return 0
 
 
 def cmd_sweep(args) -> int:
     cfg = load_run_config(args.config, args.set or [])
-    syn = cfg["data"]["synthetic"]
-    if syn is None:
+    data = cfg["data"]
+    if data["synthetic"] is None:
         raise UsageError("sweep requires a synthetic data section")
-    spec, frac = _synthetic_spec(syn)
-    model_section = dict(cfg["model"])
-    model_section["src_vocab_size"] = model_section["tgt_vocab_size"] = 8  # placeholder
-    model_section["seed"] = cfg["seed"]
-    base_model = ModelConfig.from_dict(model_section)
+    keys = ("train_tsv", "test_tsv", "max_vocab", "min_freq", "shared_vocab")
+    ignored = [f"data.{k}" for k in keys if data[k] != DEFAULT_RUN_CONFIG["data"][k]]
+    if ignored:
+        raise UsageError(
+            f"sweep cannot honour {', '.join(ignored)}: each cell builds one shared vocabulary "
+            "from data.synthetic, with no size or frequency limit"
+        )
+    spec, frac = _synthetic_spec(data["synthetic"])
     template = SweepTemplate(
         data=spec,
-        model=base_model,
+        # each cell sets the vocabulary sizes and seed; errors fail the cell
+        model=ModelConfig.from_dict(cfg["model"]),
         training=_training_settings_from_run(cfg),
         test_fraction=frac if frac > 0 else 0.2,
         split_seed=spec.seed,
         include_reference_variants=not args.no_reference,
     )
-    k_list = [int(x) for x in args.k_list.split(",")]
-    seeds = [int(x) for x in args.seeds.split(",")]
+    k_list = _int_list("--k-list", args.k_list)
+    seeds = _int_list("--seeds", args.seeds)
     rows = run_order_sweep(template, k_list, seeds, jobs=args.jobs)
     write_sweep_csv(rows, args.out)
     failed = [r for r in rows if r["status"] != "ok"]
@@ -577,10 +583,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, CorpusError, CheckpointError) as exc:
+    except (UsageError, ConfigError, CorpusError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonFiniteError as exc:

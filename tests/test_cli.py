@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+import markovnmt
 from markovnmt.cli import (
     DEFAULT_RUN_CONFIG,
     apply_set_overrides,
@@ -94,6 +95,18 @@ def test_config_hash_is_order_insensitive():
     b = {"y": {"z": 2}, "x": 1}
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash({"x": 1, "y": {"z": 3}})
+
+
+def test_default_run_config_hash_is_pinned():
+    # the model and training defaults come from ModelConfig and TrainSettings;
+    # a drift there would move every run directory
+    assert config_hash(merge_run_config({})) == "adec74bef143"
+
+
+def test_package_exports_resolve():
+    names = markovnmt.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(markovnmt, name) for name in names)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +210,9 @@ def test_translate_file_roundtrip(trained_run, tmp_path):
     sidecar = json.loads(open(os.path.join(summary["run_dir"], "config.json")).read())
     assert sidecar["data"]["synthetic"]["task"] == "copy"
     src_file = tmp_path / "src.txt"
-    src_file.write_text("t4 t5 t4\n\nt5 t5\n", encoding="utf-8")
+    # a source longer than max_len=12 is clipped, an unseen word becomes UNK
+    long_line = " ".join(["t4", "t5"] * 20)
+    src_file.write_text(f"t4 t5 t4\n\nt5 t5\n{long_line}\nt4 zebra t5\n", encoding="utf-8")
     out_file = tmp_path / "hyp.txt"
     rc = main([
         "translate", "--checkpoint", ckpt,
@@ -205,7 +220,7 @@ def test_translate_file_roundtrip(trained_run, tmp_path):
     ])
     assert rc == 0
     lines = out_file.read_text(encoding="utf-8").split("\n")
-    assert len(lines) == 4 and lines[3] == ""  # three inputs + trailing newline
+    assert len(lines) == 6 and lines[5] == ""  # five inputs + trailing newline
     assert lines[1] == ""  # blank line passes through
     rc = main([
         "translate", "--checkpoint", ckpt, "--input", str(src_file),
@@ -293,6 +308,8 @@ def test_train_usage_errors(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--set", "nope=1"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    assert main(["train", "--config", cfg, "--set", "model.max_len=3"]) == 2
+    assert "every training pair exceeds max_len" in capsys.readouterr().err
     tsv = tmp_path / "train.tsv"
     tsv.write_bytes(b"a b\ta b\n\xff\xfe\tb\n")
     cfg = _write_config(tmp_path / "tsv.json", data={"train_tsv": str(tsv)})
@@ -316,6 +333,66 @@ def test_train_rejects_dropped_test_pairs_before_training(tmp_path, capsys):
     assert rc == 2
     assert "exceed max_len=16" in capsys.readouterr().err
     assert not list((tmp_path / "runs").glob("*/checkpoint.mnmt"))
+
+
+@pytest.mark.parametrize(
+    "command, sets, named",
+    [
+        ("sweep", ["data.max_vocab=5"], ["data.max_vocab"]),
+        ("sweep", ["data.shared_vocab=false", "data.train_tsv=/nonexistent.tsv"],
+         ["data.train_tsv", "data.shared_vocab"]),
+        ("sweep", ["data.min_freq=2", "data.test_tsv=test.tsv"], ["data.test_tsv", "data.min_freq"]),
+        ("train", ["data.test_tsv=test.tsv"], ["data.test_tsv"]),
+    ],
+)
+def test_data_keys_a_command_cannot_honour_are_usage_errors(tmp_path, capsys, command, sets, named):
+    cfg = _write_config(tmp_path / "run.json")
+    if command == "sweep":
+        extra = ["--k-list", "1", "--no-reference", "--out", str(tmp_path / "sweep.csv")]
+    else:
+        extra = ["--out-root", str(tmp_path / "runs")]
+    argv = [command, "--config", cfg, *extra]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(key in err for key in named)
+    assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["translate", "--checkpoint", "{ckpt}", "--input", "{missing}"], "--input {missing}"),
+        (["translate", "--checkpoint", "{ckpt}", "--input", "{bad}", "--output", "{out}"],
+         "--input {bad} is not valid UTF-8"),
+        (["evaluate", "--hyp", "{missing}", "--ref", "{good}"], "--hyp {missing}"),
+        (["evaluate", "--hyp", "{bad}", "--ref", "{good}"], "--hyp {bad} is not valid UTF-8"),
+        (["evaluate", "--hyp", "{good}", "--ref", "{missing}"], "--ref {missing}"),
+        (["evaluate", "--hyp", "{good}", "--ref", "{bad}"], "--ref {bad} is not valid UTF-8"),
+        (["evaluate", "--hyp", "{good}", "--ref", "{good}", "--buckets", "3,x"], "--buckets"),
+        (["evaluate", "--hyp", "{good}", "--ref", "{good}", "--buckets", "3,2"], "--buckets"),
+        (["sweep", "--config", "{cfg}", "--k-list", "2,x", "--out", "{out}"], "--k-list"),
+        (["sweep", "--config", "{cfg}", "--k-list", "2", "--seeds", "0.5", "--out", "{out}"], "--seeds"),
+    ],
+)
+def test_bad_file_or_list_argument_is_a_usage_error(trained_run, tmp_path, capsys, argv, named):
+    tmp, cfg_path, summary = trained_run
+    good = tmp_path / "good.txt"
+    good.write_text("t4 t5\n", encoding="utf-8")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"t4 \xff t5\n")
+    paths = {
+        "ckpt": os.path.join(summary["run_dir"], "checkpoint.mnmt"),
+        "cfg": cfg_path,
+        "good": str(good),
+        "bad": str(bad),
+        "missing": str(tmp_path / "missing.txt"),
+        "out": str(tmp_path / "out.txt"),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named.format(**paths) in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/inf inside the doomed forward
