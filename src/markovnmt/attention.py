@@ -26,7 +26,6 @@ from .tensor import (
     Tensor,
     matmul,
     merge_heads,
-    scale,
     softmax_masked,
     split_heads,
 )
@@ -136,8 +135,7 @@ def multi_head_attention(
     head_allow = allow
     if allow is not None and np.ndim(allow) == 3 and np.shape(allow)[0] > 1:
         head_allow = np.repeat(np.asarray(allow, bool), heads, axis=0)
-    scores = scale(matmul(qh, kh_t), 1.0 / sqrt(dh))
-    weights = softmax_masked(scores, head_allow)
+    weights = softmax_masked(matmul(qh, kh_t), head_allow, 1.0 / sqrt(dh))
     ctx = merge_heads(matmul(weights, vh), heads, q.data.ndim)
     return matmul(ctx, params.w_o)
 

@@ -16,6 +16,8 @@ reads those, and a token drifts outside its window.
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -73,6 +75,16 @@ def influence_window(cfg_k: int | None, j: int, n: int) -> np.ndarray:
 AUDIT_CHUNK = 16
 
 
+def audit_workers(chunks: int) -> int:
+    """Threads for ``chunks`` audit chunks: one per CPU this process may
+    run on, and never more than there are chunks (at least one)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, chunks))
+
+
 def audit_sentence(
     model: Model,
     src_ids,
@@ -87,7 +99,9 @@ def audit_sentence(
     sequence once plus one per perturbed sequence; these run
     :data:`AUDIT_CHUNK` at a time, each chunk behind a copy of the
     unperturbed sequence that its rows are compared with, so no comparison
-    depends on two batch shapes rounding alike.
+    depends on two batch shapes rounding alike. The chunks are independent
+    and run on :func:`audit_workers` threads; their results are merged in
+    chunk order, so the outcome does not depend on the thread count.
     """
     cfg = model.config
     tgt_in = np.asarray([BOS_ID] + list(tgt_ids), dtype=np.int64)
@@ -103,20 +117,30 @@ def audit_sentence(
     positions, tokens = positions[edited], tokens[edited]
     window = cfg.window()
     frozen = ~np.stack([influence_window(window, j, n) for j in range(n)])[positions]
-    worst = 0.0
-    violations: list[tuple[int, int, float]] = []
     with no_grad():
         memory = encode(model, src_ids)
-        for lo in range(0, len(positions), AUDIT_CHUNK):
-            pos = positions[lo : lo + AUDIT_CHUNK]
-            ids = np.repeat(tgt_in[None], len(pos) + 1, axis=0)
-            ids[np.arange(1, len(pos) + 1), pos] = tokens[lo : lo + AUDIT_CHUNK]
+
+    def chunk(lo: int) -> tuple[float, list[tuple[int, int, float]]]:
+        pos = positions[lo : lo + AUDIT_CHUNK]
+        ids = np.repeat(tgt_in[None], len(pos) + 1, axis=0)
+        ids[np.arange(1, len(pos) + 1), pos] = tokens[lo : lo + AUDIT_CHUNK]
+        # the tape's mode is per thread, and a worker starts out recording
+        with no_grad():
             out = decode_forward(model, memory, ids).data
-            deltas = np.abs(out[1:] - out[0]).max(axis=-1)  # (edits, n)
-            moved = np.where(frozen[lo : lo + AUDIT_CHUNK], deltas, 0.0)
-            worst = max(worst, float(moved.max()))
-            edit, rows = np.nonzero(moved > 0.0)
-            violations.extend(zip(pos[edit].tolist(), rows.tolist(), moved[edit, rows].tolist()))
+        deltas = np.abs(out[1:] - out[0]).max(axis=-1)  # (edits, n)
+        moved = np.where(frozen[lo : lo + AUDIT_CHUNK], deltas, 0.0)
+        edit, rows = np.nonzero(moved > 0.0)
+        found = zip(pos[edit].tolist(), rows.tolist(), moved[edit, rows].tolist())
+        return float(moved.max()), list(found)
+
+    starts = range(0, len(positions), AUDIT_CHUNK)
+    worst = 0.0
+    violations: list[tuple[int, int, float]] = []
+    # a pool per call: no idle threads outlive the audit into a fork
+    with ThreadPoolExecutor(max_workers=audit_workers(len(starts))) as pool:
+        for w, v in pool.map(chunk, starts):
+            worst = max(worst, w)
+            violations.extend(v)
     return worst, violations, 1 + len(positions), int(frozen.sum())
 
 
@@ -132,7 +156,8 @@ def audit_model(
 
     Random ids exercise arbitrary logit landscapes; the property is
     architectural, so it must hold for any parameters and any ids. The
-    forwards run on one OpenBLAS thread (see ``single_blas_thread``).
+    forwards run on :func:`audit_workers` threads, each on one OpenBLAS
+    thread (see ``single_blas_thread``).
     """
     cfg = model.config
     if tgt_len + 1 > cfg.max_len or src_len + 1 > cfg.max_len:

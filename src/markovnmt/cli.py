@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
+import io
 import json
 import os
 import sys
@@ -174,10 +175,13 @@ def _model_config_from_run(
 ) -> ModelConfig:
     """The run's validated model config, seeded from the run. Vocabulary
     sizes come from the corpus when given; commands that read no corpus
-    take the model section's, or 16."""
+    take the model section's, or 16 where it gives none."""
     section = dict(cfg["model"], seed=cfg["seed"])
-    section["src_vocab_size"] = src_vocab or section["src_vocab_size"] or 16
-    section["tgt_vocab_size"] = tgt_vocab or section["tgt_vocab_size"] or 16
+    for key, size in (("src_vocab_size", src_vocab), ("tgt_vocab_size", tgt_vocab)):
+        if size is not None:
+            section[key] = size
+        elif section[key] is None:
+            section[key] = 16
     try:
         return ensure_valid(ModelConfig.from_dict(section))
     except ConfigError as exc:
@@ -361,15 +365,27 @@ def cmd_translate(args) -> int:
     if args.max_new is not None and args.max_new < 0:
         raise UsageError(f"--max-new must be >= 0, got {args.max_new}")
     model, src_vocab, tgt_vocab, tokenizer = _load_translator(args.checkpoint)
+    # standard input is decoded as strictly as a file: Python's own stdin
+    # may turn bad bytes into surrogates, which would be looked up as UNK
+    stdin = args.input == "-"
     try:
-        fin = sys.stdin if args.input == "-" else open(args.input, "r", encoding="utf-8")
+        if stdin:
+            fin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+        else:
+            fin = open(args.input, "r", encoding="utf-8")
     except OSError as exc:
         raise _file_error("--input", args.input, exc) from exc
+
+    def close_input() -> None:
+        if stdin:
+            fin.detach()  # leaves sys.stdin open
+        else:
+            fin.close()
+
     try:
         fout = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
     except OSError as exc:
-        if fin is not sys.stdin:
-            fin.close()
+        close_input()
         raise _file_error("--output", args.output, exc) from exc
 
     def flush(lines: list[str], first: int) -> None:
@@ -407,8 +423,7 @@ def cmd_translate(args) -> int:
     except UnicodeDecodeError as exc:
         raise _file_error("--input", args.input, exc) from exc
     finally:
-        if fin is not sys.stdin:
-            fin.close()
+        close_input()
         if fout is not sys.stdout:
             fout.close()
     return 0

@@ -8,7 +8,9 @@ matmul, add, scale, layer_norm and softmax_masked skip that check;
 relu and softmax_masked check their inputs instead, and the model checks
 the output of each sublayer through :func:`checked`, which replays a
 failing block with every op checked so that the error names the same op.
-The graph is a plain DAG of Tensor nodes; ``backward()``
+This mode (recording, no_grad, or the replay) belongs to the calling
+thread: a new thread starts recording, and no_grad in one thread leaves
+the others as they are. The graph is a plain DAG of Tensor nodes; ``backward()``
 materializes a :class:`ComputationRecord` (topological node list) and walks
 it once in reverse. Gradients accumulate across backward calls until
 ``zero_grad()``.
@@ -17,6 +19,7 @@ it once in reverse. Gradients accumulate across backward calls until
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import glob
@@ -43,21 +46,24 @@ class GradientError(AssertionError):
     """Analytic and numeric gradients disagree beyond tolerance."""
 
 
-_grad_enabled = True
-# True while :func:`checked` replays a block with every op checked
-_replaying = False
+# The tape's mode in the calling thread: ops record a graph and check their
+# outputs; under no_grad they record nothing and most skip the check; in the
+# replay that :func:`checked` runs they record nothing and check everything.
+_RECORDING, _NO_GRAD, _REPLAYING = "recording", "no_grad", "replaying"
+_mode = contextvars.ContextVar("tape_mode", default=_RECORDING)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the block. Use for inference paths."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording inside the block, in the calling thread
+    only. Use for inference paths."""
+    prev = _mode.get()
+    if prev is _RECORDING:
+        _mode.set(_NO_GRAD)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _mode.set(prev)
 
 
 @functools.cache
@@ -123,7 +129,7 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 def _check_input(data: np.ndarray, op: str) -> None:
     """Under no_grad, check what ``op`` reads: relu and softmax_masked can
     turn -inf into a finite output, which no later check would see."""
-    if not (_grad_enabled or _replaying) and not np.isfinite(data).all():
+    if _mode.get() is _NO_GRAD and not np.isfinite(data).all():
         raise NonFiniteError(f"non-finite values reach op '{op}'")
 
 
@@ -235,7 +241,8 @@ _UNCHECKED_NO_GRAD = _MOVES_ONLY | {"matmul", "add", "scale", "layer_norm", "sof
 
 
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) -> Tensor:
-    if op not in (_MOVES_ONLY if _grad_enabled or _replaying else _UNCHECKED_NO_GRAD):
+    mode = _mode.get()
+    if op not in (_UNCHECKED_NO_GRAD if mode is _NO_GRAD else _MOVES_ONLY):
         _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -244,7 +251,7 @@ def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) ->
     out._backward = None
     out.op = op
     out.requires_grad = False
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if mode is _RECORDING and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.parents = parents
         out._backward = backward
@@ -261,8 +268,7 @@ def checked(block: Callable[[], Tensor], rng: np.random.Generator | None = None)
     block's dropout stream, if any) back in its starting state. That run
     raises :class:`NonFiniteError` at the op that made the value.
     """
-    global _replaying
-    if _grad_enabled or _replaying:
+    if _mode.get() is not _NO_GRAD:
         return block()
     state = None if rng is None else rng.bit_generator.state
     try:
@@ -273,11 +279,11 @@ def checked(block: Callable[[], Tensor], rng: np.random.Generator | None = None)
         pass
     if rng is not None:
         rng.bit_generator.state = state
-    _replaying = True
+    _mode.set(_REPLAYING)
     try:
         block()
     finally:
-        _replaying = False
+        _mode.set(_NO_GRAD)
     raise NonFiniteError("non-finite values that a replay with every op checked did not make")
 
 
@@ -419,18 +425,21 @@ def relu(a: Tensor) -> Tensor:
     return _result(out_data, "relu", (a,), backward)
 
 
-def softmax_masked(scores: Tensor, allow: np.ndarray | None) -> Tensor:
-    """Row softmax over the last axis with exact masking.
+def softmax_masked(scores: Tensor, allow: np.ndarray | None, factor: float = 1.0) -> Tensor:
+    """Row softmax over the last axis of ``scores * factor``, with exact
+    masking.
 
     ``allow`` is a boolean array broadcastable to ``scores.shape`` (or None
     for all-allowed). Disallowed positions get a large negative additive
     shift *and* are explicitly zeroed after the exp, then rows renormalize
     over what is left, so a disallowed weight is exactly 0.0 and cannot leak
-    value rows regardless of score magnitudes.
+    value rows regardless of score magnitudes. ``factor`` is attention's
+    1/sqrt(d_head), applied here to save a pass over the scores.
     """
     s = scores.data
     _check_input(s, "softmax_masked")
     mask = None
+    e = s * factor
     if allow is not None:
         allow = np.asarray(allow, dtype=bool)
         # a row's verdict does not change under broadcasting, so the
@@ -438,9 +447,7 @@ def softmax_masked(scores: Tensor, allow: np.ndarray | None) -> Tensor:
         if not allow.any(axis=-1).all():
             raise ValueError("softmax_masked: some row has no allowed positions")
         mask = np.broadcast_to(allow, s.shape)
-        e = s + np.where(allow, 0.0, MASK_FILL).astype(s.dtype)
-    else:
-        e = s.copy()
+        e += np.where(allow, 0.0, MASK_FILL).astype(s.dtype)
     e -= _max_last(e)
     np.exp(e, out=e)
     if mask is not None:
@@ -452,7 +459,10 @@ def softmax_masked(scores: Tensor, allow: np.ndarray | None) -> Tensor:
         w = out_data
         ds = g - _sum_last_padded(g * w)
         ds *= w
-        _flow(flows, scores, ds if mask is None else np.where(mask, ds, 0.0))
+        if mask is not None:
+            ds = np.where(mask, ds, 0.0)
+        ds *= factor
+        _flow(flows, scores, ds)
 
     return _result(out_data, "softmax_masked", (scores,), backward)
 

@@ -6,18 +6,24 @@ the contextual banded control leaking past its window.
 """
 
 import json
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markovnmt import audit
 from markovnmt.audit import (
     AUDIT_CHUNK,
     AuditReport,
     Violation,
     audit_model,
     audit_sentence,
+    audit_workers,
     influence_window,
 )
 from markovnmt.model import (
@@ -190,6 +196,55 @@ def test_chunked_audit_matches_one_sequence_at_a_time(variant, k, over, seed):
     assert got == _reference_audit_sentence(model, src, tgt)
     if over:
         assert got[1]  # the control leaks, so the deltas compared are nonzero
+
+
+@pytest.mark.parametrize(
+    "variant, k, over",
+    [
+        ("MAT", 5, {}),
+        ("MAT", 2, {"transparent": False}),  # the contextual banded control
+        ("TAT", None, {}),
+        ("AT", None, {}),
+    ],
+)
+def test_audit_on_three_threads_matches_one_sequence_at_a_time(monkeypatch, variant, k, over):
+    """Chunks run on a pool of three threads that trade the interpreter
+    often; the merged result is the serial one, violation order and float
+    deltas included."""
+    model = _model(variant=variant, k=k, seed=2, **over)
+    rng = np.random.default_rng(2)
+    src = rng.integers(UNK_ID, 9, size=5).tolist() + [EOS_ID]
+    tgt = rng.integers(UNK_ID, 9, size=9).tolist()
+    threads = set()
+
+    def decode_forward_noting_thread(*args, **kwargs):
+        threads.add(threading.get_ident())
+        time.sleep(0.01)  # hold this worker, so that the pool starts another
+        return decode_forward(*args, **kwargs)
+
+    monkeypatch.setattr(audit, "audit_workers", lambda chunks: 3)
+    monkeypatch.setattr(audit, "decode_forward", decode_forward_noting_thread)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = audit_sentence(model, src, tgt)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) >= 2
+    assert got == _reference_audit_sentence(model, src, tgt)
+
+
+@pytest.mark.parametrize("replacements", [[], [5]])
+def test_audit_sentence_without_edits(replacements):
+    # the only candidate id is already at the only position, or none is
+    assert audit_sentence(_model(), [4, 5, 2], [5], replacement_ids=replacements) == (0.0, [], 1, 0)
+
+
+def test_audit_workers_follow_the_cpus_and_the_chunks():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert audit_workers(0) == 1
+    assert audit_workers(1) == 1
+    assert audit_workers(10_000) == cpus
 
 
 def test_audit_length_validation():

@@ -26,6 +26,16 @@ from markovnmt.data import parse_corpus
 from markovnmt.evaluation import SWEEP_COLUMNS
 
 
+def _read(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _write_config(path, **sections):
     doc = {
         "seed": 0,
@@ -170,11 +180,11 @@ def test_train_writes_run_artifacts(trained_run):
     run_dir = summary["run_dir"]
     for name in ("config.json", "train_log.jsonl", "checkpoint.mnmt", "summary.json"):
         assert os.path.exists(os.path.join(run_dir, name))
-    on_disk = json.loads(open(os.path.join(run_dir, "summary.json")).read())
+    on_disk = json.loads(_read(os.path.join(run_dir, "summary.json")))
     assert on_disk == summary
     assert summary["n_train_pairs"] > 0 and summary["dropped_pairs"] == 0
     assert "sequence_accuracy" in summary["test_metric"]
-    log_lines = open(os.path.join(run_dir, "train_log.jsonl")).read().splitlines()
+    log_lines = _read(os.path.join(run_dir, "train_log.jsonl")).splitlines()
     assert all({"step", "loss", "lr"} <= set(json.loads(l)) for l in log_lines)
 
 
@@ -182,12 +192,12 @@ def test_rerun_reproduces_identical_bytes(trained_run, capsys):
     tmp, cfg_path, summary = trained_run
     run_dir = summary["run_dir"]
     ckpt = os.path.join(run_dir, "checkpoint.mnmt")
-    before = open(ckpt, "rb").read()
+    before = _read_bytes(ckpt)
     rc = main(["train", "--config", cfg_path, "--out-root", str(tmp / "runs")])
     assert rc == 0
     again = json.loads(capsys.readouterr().out)
     assert again["run_dir"] == run_dir  # same config -> same hash -> same dir
-    assert open(ckpt, "rb").read() == before
+    assert _read_bytes(ckpt) == before
     assert again == summary
 
 
@@ -200,14 +210,14 @@ def test_set_override_changes_run_dir(trained_run, capsys):
     assert rc == 0
     moved = json.loads(capsys.readouterr().out)
     assert moved["run_dir"] != summary["run_dir"]
-    saved = json.loads(open(os.path.join(moved["run_dir"], "config.json")).read())
+    saved = json.loads(_read(os.path.join(moved["run_dir"], "config.json")))
     assert saved["training"]["steps"] == 6
 
 
 def test_translate_file_roundtrip(trained_run, tmp_path):
     tmp, cfg_path, summary = trained_run
     ckpt = os.path.join(summary["run_dir"], "checkpoint.mnmt")
-    sidecar = json.loads(open(os.path.join(summary["run_dir"], "config.json")).read())
+    sidecar = json.loads(_read(os.path.join(summary["run_dir"], "config.json")))
     assert sidecar["data"]["synthetic"]["task"] == "copy"
     src_file = tmp_path / "src.txt"
     # a source longer than max_len=12 is clipped, an unseen word becomes UNK
@@ -261,7 +271,7 @@ def test_translate_stats_report_constant_window_state(trained_run, tmp_path, cap
                 assert r["self_attn_scores"] == count_decode_ops(cfg, 7)["total_self_attn_scores"]
     assert main(["translate", "--checkpoint", ckpt, "--input", str(src_file), "--beam", "0"]) == 2
     corrupt = tmp_path / "corrupt.mnmt"
-    corrupt.write_bytes(open(ckpt, "rb").read()[:-4])
+    corrupt.write_bytes(_read_bytes(ckpt)[:-4])
     assert main(["translate", "--checkpoint", str(corrupt), "--input", str(src_file)]) == 2
     assert "payload" in capsys.readouterr().err
 
@@ -281,6 +291,38 @@ def test_translate_rejects_malformed_checkpoint_vocab(trained_run, tmp_path, cap
     assert main(["translate", "--checkpoint", ckpt, "--input", str(src_file)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "bad vocabulary in metadata" in err
+
+
+def test_translate_reads_stdin_as_strictly_as_a_file(trained_run, tmp_path, monkeypatch, capsys):
+    """Standard input gives the translation a file gives, and invalid UTF-8
+    on it is the usage error a file gives, even where Python's own stdin
+    would let bad bytes through as surrogates."""
+    import io
+
+    tmp, cfg_path, summary = trained_run
+    ckpt = os.path.join(summary["run_dir"], "checkpoint.mnmt")
+    for raw in (b"t4 t5 t4\n\nt5 t5\n", b"t4 \xff t5\n"):
+        src_file = tmp_path / "src.txt"
+        src_file.write_bytes(raw)
+        from_file = main(["translate", "--checkpoint", ckpt, "--input", str(src_file)])
+        file_out, file_err = capsys.readouterr()
+        stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["translate", "--checkpoint", ckpt, "--input", "-"]) == from_file
+        out, err = capsys.readouterr()
+        assert not stdin.closed
+        assert out == file_out
+        assert err == file_err.replace(str(src_file), "-")
+    assert from_file == 2 and err == "error: --input - is not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("command", [["audit-leakage"], ["count-ops", "--n", "5"]])
+@pytest.mark.parametrize("key", ["src_vocab_size", "tgt_vocab_size"])
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_bad_model_vocabulary_size_is_a_usage_error(tmp_path, capsys, command, key, size):
+    cfg = _write_config(tmp_path / "run.json")
+    assert main(command + ["--config", cfg, "--set", f"model.{key}={size}"]) == 2
+    assert f"{key} must exceed the 4 reserved ids" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -464,7 +506,8 @@ def test_sweep_failed_cells_exit_one(tmp_path, capsys):
     assert rc == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["failed"] == 1
-    rows = list(csv.DictReader(open(out, newline="", encoding="utf-8")))
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[0]["status"].startswith("failed:")
 
 

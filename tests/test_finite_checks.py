@@ -6,12 +6,14 @@ checked. These tests make one op emit a non-finite value and require the
 error to name the op that the per-op checks of training would name.
 """
 
+import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from markovnmt import tensor
+from markovnmt import audit, tensor
 from markovnmt.audit import audit_sentence
 from markovnmt.decoding import decode_batch, greedy_decode
 from markovnmt.model import EOS_ID, ModelConfig, build_model, encode
@@ -53,10 +55,19 @@ def _model(name):
     )
 
 
+def _threaded_audit(model):
+    """The audit case cut into chunks of two edits, run on three threads."""
+    with mock.patch.object(audit, "AUDIT_CHUNK", 2), mock.patch.object(
+        audit, "audit_workers", lambda chunks: 3
+    ):
+        return audit_sentence(model, SRC, TGT, replacement_ids=[4, 5])
+
+
 PATHS = {
     "greedy": lambda model: greedy_decode(model, SRC, max_new=4),
     "beam4": lambda model: decode_batch(model, [SRC, SRC[1:]], beam=4, max_new=4),
     "audit": lambda model: audit_sentence(model, SRC, TGT, replacement_ids=[4, 5]),
+    "audit-threads": _threaded_audit,
 }
 
 
@@ -66,12 +77,11 @@ def _poison(monkeypatch, op, value, skip=0, reads=None):
     its output before the output is checked. Calls from a replay count
     too, so a replay meets the same fault."""
     original = tensor._result
-    calls = [0]
+    calls = itertools.count(1)  # next() on it is atomic, so threads may share it
 
     def poisoned(data, name, parents, backward):
         if name == op:
-            calls[0] += 1
-            if calls[0] > skip if reads is None else any(p is reads for p in parents):
+            if next(calls) > skip if reads is None else any(p is reads for p in parents):
                 data = data.copy()
                 data.reshape(-1)[0] = value
         return original(data, name, parents, backward)

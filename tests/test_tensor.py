@@ -2,6 +2,7 @@
 invariants, and finite-difference agreement."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from markovnmt.tensor import (
     NonFiniteError,
     Tensor,
     add,
+    checked,
     cross_entropy,
     dropout,
     embedding,
@@ -114,6 +116,24 @@ def test_softmax_masked_rows_stochastic(rows, cols, seed):
     np.testing.assert_allclose(out.sum(axis=-1), np.ones(rows), atol=1e-6)
     assert np.all(out[~allow] == 0.0)
     assert np.all(out >= 0.0)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_masked_factor_equals_a_scale_before_it(masked, dtype):
+    """The fused factor computes, forward and backward, bit for bit what
+    a separate scale op feeding the softmax computes."""
+    rng = np.random.Generator(np.random.PCG64(4))
+    data = rng.normal(size=(3, 4, 5)).astype(dtype)
+    allow = np.tril(np.ones((4, 5), bool)) if masked else None
+    upstream = Tensor(rng.normal(size=(3, 4, 5)).astype(dtype))
+    fused, split = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+    a = softmax_masked(fused, allow, 1.0 / math.sqrt(8))
+    b = softmax_masked(scale(split, 1.0 / math.sqrt(8)), allow)
+    np.testing.assert_array_equal(a.data, b.data)
+    total(mul(a, upstream)).backward()
+    total(mul(b, upstream)).backward()
+    np.testing.assert_array_equal(fused.grad, split.grad)
 
 
 def test_layer_norm_value():
@@ -272,6 +292,73 @@ def test_no_grad_blocks_recording():
     assert y.parents == () and not y.requires_grad
     z = mul(x, x)
     assert z.requires_grad
+
+
+def test_no_grad_belongs_to_the_calling_thread():
+    x = Tensor([1.0], requires_grad=True)
+    inside, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def hold_no_grad():
+        with no_grad():
+            inside.set()
+            assert release.wait(timeout=30)
+            seen["held"] = mul(x, x).requires_grad
+
+    def fresh():
+        seen["fresh"] = mul(x, x).requires_grad
+
+    thread = threading.Thread(target=hold_no_grad)
+    thread.start()
+    try:
+        assert inside.wait(timeout=30)
+        # another thread's no_grad leaves this one recording
+        assert mul(x, x).requires_grad
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    with no_grad():
+        # a new thread starts recording, whatever the mode of its starter
+        thread = threading.Thread(target=fresh)
+        thread.start()
+        thread.join(timeout=30)
+        assert not mul(x, x).requires_grad
+    assert seen == {"held": False, "fresh": True}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # float32 overflow, on purpose
+def test_replay_checks_only_the_replaying_thread():
+    """While one thread replays a failed block with every op checked,
+    another thread under no_grad still skips the per-op checks."""
+    big = Tensor(np.array([3e38], dtype=np.float32))
+    replaying, release = threading.Event(), threading.Event()
+    runs, errors = [], []
+
+    def block():
+        runs.append(None)
+        if len(runs) == 2:  # the replay
+            replaying.set()
+            assert release.wait(timeout=30)
+        return add(big, big)  # inf
+
+    def replay():
+        with no_grad():
+            try:
+                checked(block)
+            except NonFiniteError as exc:
+                errors.append(exc)
+
+    thread = threading.Thread(target=replay)
+    thread.start()
+    try:
+        assert replaying.wait(timeout=30)
+        with no_grad():
+            assert np.isinf(add(big, big).data).all()
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert len(runs) == 2
+    assert len(errors) == 1 and "op 'add'" in str(errors[0])
 
 
 def test_grad_check_on_composite_function():
