@@ -10,7 +10,6 @@ state, and is checkable by exact perturbation audits.
 from .attention import (
     AttentionParams,
     build_mask,
-    masked_score_count,
     multi_head_attention,
     transparent_self_attention,
 )
@@ -59,7 +58,6 @@ from .model import (
     decode_forward,
     encode,
     load_checkpoint,
-    model_from_checkpoint,
     save_checkpoint,
     validate_config,
 )
@@ -118,9 +116,7 @@ __all__ = [
     "init_state",
     "load_checkpoint",
     "make_batches",
-    "masked_score_count",
     "mode_target_positions",
-    "model_from_checkpoint",
     "multi_head_attention",
     "nll_loss",
     "no_grad",

@@ -58,11 +58,6 @@ def build_mask(kind: str, n: int, k: int | None = None) -> np.ndarray:
     return (j <= i) & (j >= i - k + 1)
 
 
-def masked_score_count(allow: np.ndarray) -> int:
-    """Number of allowed (query, key) score positions in a mask."""
-    return int(np.asarray(allow, dtype=bool).sum())
-
-
 @dataclass
 class AttentionParams:
     """Projection weights for one multi-head attention block."""

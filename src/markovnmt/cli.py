@@ -20,11 +20,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+import typing
+from dataclasses import asdict, dataclass
 from functools import partial
 
 from .audit import audit_model
 from .data import (
+    TOKENIZERS,
     CorpusError,
     SyntheticSpec,
     Vocab,
@@ -55,69 +57,91 @@ from .model import (
     build_model,
     ensure_valid,
     load_checkpoint,
-    model_from_checkpoint,
 )
 from .tensor import NonFiniteError
 from .training import TrainSettings, AdamW, save_training_checkpoint, train
+
+
+@dataclass
+class DataSettings:
+    """The run config's data section: one TSV corpus or one synthetic task."""
+
+    train_tsv: str | None = None
+    test_tsv: str | None = None
+    synthetic: dict | None = None  # SyntheticSpec fields + test_fraction
+    tokenizer: str = "whitespace"
+    shared_vocab: bool = True
+    max_vocab: int | None = None
+    min_freq: int = 1
 
 
 def _section(settings) -> dict:
     return {key: value for key, value in asdict(settings).items() if key != "seed"}
 
 
-# ModelConfig and TrainSettings hold the defaults. The seed is the run's; the
-# vocabulary sizes come from the data, or from the model section for commands
-# that read none.
+# ModelConfig, DataSettings and TrainSettings hold the defaults and the types.
+# The seed is the run's; the vocabulary sizes come from the data, or from the
+# model section for commands that read none.
 DEFAULT_RUN_CONFIG: dict = {
     "seed": 0,
     "model": {**_section(ModelConfig()), "src_vocab_size": None, "tgt_vocab_size": None},
-    "data": {
-        "train_tsv": None,
-        "test_tsv": None,
-        "synthetic": None,  # SyntheticSpec fields + test_fraction
-        "tokenizer": "whitespace",
-        "shared_vocab": True,
-        "max_vocab": None,
-        "min_freq": 1,
-    },
+    "data": asdict(DataSettings()),
     "training": _section(TrainSettings()),
     "decoding": {"beam_size": 1, "alpha": 0.0, "max_new": None},
 }
-
-SYNTHETIC_KEYS = {f.name for f in fields(SyntheticSpec)} | {"test_fraction"}
+SECTION_TYPES = {
+    "model": typing.get_type_hints(ModelConfig) | {"src_vocab_size": int | None, "tgt_vocab_size": int | None},
+    "data": typing.get_type_hints(DataSettings),
+    "training": typing.get_type_hints(TrainSettings),
+}
+SYNTHETIC_TYPES = typing.get_type_hints(SyntheticSpec) | {"test_fraction": float | None}
 
 
 class UsageError(ValueError):
     """Bad flags or config; maps to exit code 2."""
 
 
+def _matches(value, hint) -> bool:
+    """Whether a JSON value has a declared type: an int is never a bool,
+    a float may be written as an int, and a tuple is a list of its length."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and len(value) == len(args) and all(map(_matches, value, args))
+    if args:  # a union such as int | None
+        return any(_matches(value, arg) for arg in args)
+    allowed = (int, float) if hint is float else hint
+    return isinstance(value, allowed) and (hint is bool or not isinstance(value, bool))
+
+
 def merge_run_config(overrides: dict) -> dict:
-    """Overlay a user config onto the defaults, rejecting unknown keys."""
+    """Overlay a user config onto the defaults, rejecting unknown keys,
+    sections that are not objects and values of the wrong type."""
     errors: list[str] = []
     merged = copy.deepcopy(DEFAULT_RUN_CONFIG)
 
-    def walk(dst: dict, src: dict, path: str) -> None:
+    def walk(dst: dict, src: dict, types: dict, path: str) -> None:
         for key, value in src.items():
             here = f"{path}.{key}" if path else key
+            hint = types.get(key)
             if key not in dst:
                 errors.append(f"unknown config key {here!r}")
-                continue
-            if isinstance(dst[key], dict) and isinstance(value, dict) and key != "synthetic":
-                walk(dst[key], value, here)
+            elif isinstance(dst[key], dict) and not isinstance(value, dict):
+                errors.append(f"config section {here!r} must be an object, got {value!r}")
+            elif isinstance(dst[key], dict):
+                walk(dst[key], value, SECTION_TYPES.get(key, {}), here)
+            elif hint is not None and not _matches(value, hint):
+                name = hint.__name__ if isinstance(hint, type) else hint
+                errors.append(f"{here} must be {name}, got {value!r}")
             else:
                 dst[key] = value
 
     if not isinstance(overrides, dict):
         raise UsageError("run config must be a JSON object")
-    walk(merged, overrides, "")
-    syn = merged["data"].get("synthetic")
-    if syn is not None:
-        if not isinstance(syn, dict):
-            errors.append("data.synthetic must be an object")
-        else:
-            unknown = set(syn) - SYNTHETIC_KEYS
-            if unknown:
-                errors.append(f"unknown data.synthetic keys: {sorted(unknown)}")
+    walk(merged, overrides, {}, "")
+    if not (_matches(merged["seed"], int) and merged["seed"] >= 0):
+        errors.append(f"seed must be a non-negative integer, got {merged['seed']!r}")
+    if isinstance(merged["data"]["synthetic"], dict):  # a section with no defaults
+        walk(dict.fromkeys(SYNTHETIC_TYPES), merged["data"]["synthetic"], SYNTHETIC_TYPES, "data.synthetic")
     if errors:
         raise UsageError("; ".join(errors))
     return merged
@@ -142,7 +166,7 @@ def apply_set_overrides(cfg: dict, assignments: list[str]) -> dict:
             node = node[part]
         leaf = parts[-1]
         known = isinstance(node, dict) and (
-            leaf in node or (parts[:-1] == ["data", "synthetic"] and leaf in SYNTHETIC_KEYS)
+            leaf in node or (parts[:-1] == ["data", "synthetic"] and leaf in SYNTHETIC_TYPES)
         )
         if not known:
             raise UsageError(f"--set path {key!r} does not exist in the config")
@@ -194,19 +218,21 @@ def _training_settings_from_run(cfg: dict) -> TrainSettings:
         settings.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if settings.max_tokens_per_batch < 2 or settings.log_every < 1 or not settings.eps > 0:
+        raise UsageError("training needs max_tokens_per_batch >= 2, log_every >= 1 and eps > 0")
     return settings
 
 
 def _synthetic_spec(section: dict) -> tuple[SyntheticSpec, float]:
-    args = {k: v for k, v in section.items() if k != "test_fraction"}
-    if "len_range" in args and args["len_range"] is not None:
-        args["len_range"] = tuple(args["len_range"])
+    args = {k: tuple(v) if k == "len_range" else v for k, v in section.items() if k != "test_fraction"}
     try:
         spec = SyntheticSpec(**args)
         spec.validate()
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad data.synthetic: {exc}") from exc
-    frac = float(section.get("test_fraction", 0.0) or 0.0)
+    if spec.seed < 0:  # the generator's PCG64 takes no negative seed
+        raise UsageError(f"bad data.synthetic: seed must be >= 0, got {spec.seed}")
+    frac = section.get("test_fraction") or 0.0
     if not 0.0 <= frac < 1.0:
         raise UsageError("data.synthetic.test_fraction must be in [0, 1)")
     return spec, frac
@@ -216,6 +242,8 @@ def _prepare_run_data(cfg: dict):
     """Returns (train_pairs, test_pairs, src_vocab, tgt_vocab) token-level."""
     data = cfg["data"]
     tokenizer = data["tokenizer"]
+    if tokenizer not in TOKENIZERS:
+        raise UsageError(f"data.tokenizer must be one of {TOKENIZERS}, got {tokenizer!r}")
     syn = data["synthetic"]
     if (syn is None) == (data["train_tsv"] is None):
         raise UsageError("exactly one of data.train_tsv or data.synthetic is required")
@@ -238,10 +266,13 @@ def _prepare_run_data(cfg: dict):
     if not train_pairs:
         raise UsageError("training corpus is empty")
     build = partial(Vocab.build, max_size=data["max_vocab"], min_freq=data["min_freq"])
-    if data["shared_vocab"]:
-        src_vocab = tgt_vocab = build([side for pair in train_pairs for side in pair])
-    else:
-        src_vocab, tgt_vocab = build([s for s, _ in train_pairs]), build([t for _, t in train_pairs])
+    try:
+        if data["shared_vocab"]:
+            src_vocab = tgt_vocab = build([side for pair in train_pairs for side in pair])
+        else:
+            src_vocab, tgt_vocab = build([s for s, _ in train_pairs]), build([t for _, t in train_pairs])
+    except ValueError as exc:
+        raise UsageError(f"data.max_vocab: {exc}") from exc
     return train_pairs, test_pairs, src_vocab, tgt_vocab
 
 
@@ -346,8 +377,7 @@ def cmd_train(args) -> int:
 
 def _load_translator(path: str):
     loaded = load_checkpoint(path)
-    model = model_from_checkpoint(loaded)
-    meta = loaded.meta
+    model, meta = loaded.model, loaded.meta
     if "src_vocab" not in meta or "tgt_vocab" not in meta:
         raise UsageError(f"{path} carries no vocabulary; was it saved by `train`?")
     try:
@@ -488,7 +518,7 @@ def cmd_audit_leakage(args) -> int:
     if bool(args.checkpoint) == bool(args.config):
         raise UsageError("audit-leakage needs exactly one of --checkpoint or --config")
     if args.checkpoint:
-        model = model_from_checkpoint(args.checkpoint)
+        model = load_checkpoint(args.checkpoint).model
     else:
         cfg = load_run_config(args.config, args.set or [])
         model = build_model(_model_config_from_run(cfg))
@@ -507,7 +537,7 @@ def cmd_count_ops(args) -> int:
     if bool(args.checkpoint) == bool(args.config):
         raise UsageError("count-ops needs exactly one of --checkpoint or --config")
     if args.checkpoint:
-        cfg = load_checkpoint(args.checkpoint).config
+        cfg = load_checkpoint(args.checkpoint).model.config
     else:
         cfg = _model_config_from_run(load_run_config(args.config, args.set or []))
     print(json.dumps(count_decode_ops(cfg, args.n), sort_keys=True))

@@ -336,11 +336,6 @@ def write_sidecar(path: str, spec: SyntheticSpec, extra: dict | None = None) -> 
         fh.write("\n")
 
 
-def read_sidecar(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # ---------------------------------------------------------------------------
 # windowed oracle for the periodic mode task
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from math import sqrt
 from typing import Iterator
 
@@ -159,8 +159,8 @@ class EncoderLayerParams:
 @dataclass
 class DecoderLayerParams:
     self_attn: AttentionParams
-    ln_self: LayerNormParams
     cross_attn: AttentionParams
+    ln_self: LayerNormParams
     ln_cross: LayerNormParams
     ffn: FeedForwardParams
     ln_ffn: LayerNormParams
@@ -176,52 +176,25 @@ class Parameters:
     dec_final_ln: LayerNormParams | None = None
 
     def named(self) -> Iterator[tuple[str, Tensor]]:
-        """Deterministic (name, tensor) walk; the checkpoint manifest order."""
-        yield "src_embed", self.src_embed
-        yield "tgt_embed", self.tgt_embed
-        for i, layer in enumerate(self.enc):
-            for sub, p in (("attn", layer.attn),):
-                yield f"enc.{i}.{sub}.w_q", p.w_q
-                yield f"enc.{i}.{sub}.w_k", p.w_k
-                yield f"enc.{i}.{sub}.w_v", p.w_v
-                yield f"enc.{i}.{sub}.w_o", p.w_o
-            yield f"enc.{i}.ln_attn.gain", layer.ln_attn.gain
-            yield f"enc.{i}.ln_attn.bias", layer.ln_attn.bias
-            yield f"enc.{i}.ffn.w1", layer.ffn.w1
-            yield f"enc.{i}.ffn.b1", layer.ffn.b1
-            yield f"enc.{i}.ffn.w2", layer.ffn.w2
-            yield f"enc.{i}.ffn.b2", layer.ffn.b2
-            yield f"enc.{i}.ln_ffn.gain", layer.ln_ffn.gain
-            yield f"enc.{i}.ln_ffn.bias", layer.ln_ffn.bias
-        for i, layer in enumerate(self.dec):
-            for sub, p in (("self_attn", layer.self_attn), ("cross_attn", layer.cross_attn)):
-                yield f"dec.{i}.{sub}.w_q", p.w_q
-                yield f"dec.{i}.{sub}.w_k", p.w_k
-                yield f"dec.{i}.{sub}.w_v", p.w_v
-                yield f"dec.{i}.{sub}.w_o", p.w_o
-            yield f"dec.{i}.ln_self.gain", layer.ln_self.gain
-            yield f"dec.{i}.ln_self.bias", layer.ln_self.bias
-            yield f"dec.{i}.ln_cross.gain", layer.ln_cross.gain
-            yield f"dec.{i}.ln_cross.bias", layer.ln_cross.bias
-            yield f"dec.{i}.ffn.w1", layer.ffn.w1
-            yield f"dec.{i}.ffn.b1", layer.ffn.b1
-            yield f"dec.{i}.ffn.w2", layer.ffn.w2
-            yield f"dec.{i}.ffn.b2", layer.ffn.b2
-            yield f"dec.{i}.ln_ffn.gain", layer.ln_ffn.gain
-            yield f"dec.{i}.ln_ffn.bias", layer.ln_ffn.bias
-        if self.enc_final_ln is not None:
-            yield "enc_final_ln.gain", self.enc_final_ln.gain
-            yield "enc_final_ln.bias", self.enc_final_ln.bias
-        if self.dec_final_ln is not None:
-            yield "dec_final_ln.gain", self.dec_final_ln.gain
-            yield "dec_final_ln.bias", self.dec_final_ln.bias
-
-    def tensors(self) -> dict[str, Tensor]:
-        return dict(self.named())
+        """Every parameter with its dotted path, in field order: the checkpoint's order."""
+        return _named_tensors(self, "")
 
     def zero_grad(self) -> None:
         for _, t in self.named():
             t.zero_grad()
+
+
+def _named_tensors(node, path: str) -> Iterator[tuple[str, Tensor]]:
+    # an attention block's head count and a post-LN model's absent final
+    # norms are neither a tensor, a list nor a dataclass: they yield nothing
+    if isinstance(node, Tensor):
+        yield path, node
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _named_tensors(item, f"{path}.{i}")
+    elif is_dataclass(node):
+        for f in fields(node):
+            yield from _named_tensors(getattr(node, f.name), f"{path}.{f.name}" if path else f.name)
 
 
 def sinusoidal_positions(max_len: int, d_model: int) -> np.ndarray:
@@ -572,8 +545,6 @@ def decode_forward_batch(
 # checkpoints: one JSON header line, then raw little-endian float32 payload
 
 CHECKPOINT_MAGIC = "markovnmt-checkpoint"
-# version 2 lists the extra (non-parameter) tensors in the header; version 1
-# files, which do not, still load, with every non-parameter tensor an extra
 CHECKPOINT_VERSION = 2
 
 
@@ -591,10 +562,9 @@ def save_checkpoint(
     manifest order. Round-trips bit-exactly.
     """
     path = os.fspath(path)
-    entries: list[tuple[str, np.ndarray]] = [(n, t.data) for n, t in model.params.named()]
     extras = sorted(extra_tensors or {})
-    for name in extras:
-        entries.append((name, np.asarray(extra_tensors[name])))
+    entries = [(n, t.data) for n, t in model.params.named()]
+    entries += [(n, np.asarray(extra_tensors[n])) for n in extras]
     manifest = []
     offset = 0
     blobs = []
@@ -623,8 +593,8 @@ def save_checkpoint(
 
 @dataclass
 class LoadedCheckpoint:
-    config: ModelConfig
-    tensors: dict[str, np.ndarray]
+    model: Model
+    extras: dict[str, np.ndarray]  # the non-parameter tensors, such as optimizer moments
     meta: dict
 
 
@@ -633,12 +603,14 @@ def _is_count(x) -> bool:
 
 
 def load_checkpoint(path: str) -> LoadedCheckpoint:
-    """Read a checkpoint, checking its header against its payload.
+    """Read a checkpoint into the model its stored config builds.
 
-    Every manifest entry must name a parameter of the stored config or a
-    declared extra, and the tensors must tile the payload in manifest
-    order: each starts where the one before it ends, the first at 0 and
-    the last at the payload's end. Anything else is a CheckpointError.
+    Every manifest entry must name a parameter of that model or a declared
+    extra, and the tensors must tile the payload in manifest order: each
+    starts where the one before it ends, the first at 0 and the last at
+    the payload's end. Every parameter and declared extra must be there,
+    each parameter shaped as the config implies and finite. Anything else
+    is a CheckpointError.
     """
     try:
         with open(path, "rb") as fh:
@@ -655,32 +627,32 @@ def load_checkpoint(path: str) -> LoadedCheckpoint:
     if header.get("format") != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint file (bad format marker)")
     version = header.get("version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version!r}")
     expected = header.get("payload_bytes")
     if expected != len(payload):
         raise CheckpointError(f"payload is {len(payload)} bytes, header promises {expected}")
     try:
-        cfg = ModelConfig.from_dict(header["config"])
-        params = {name for name, _ in build_model(cfg).params.named()}
+        model = build_model(ModelConfig.from_dict(header["config"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad config in checkpoint: {exc}") from exc
+    params = dict(model.params.named())
     manifest = header.get("tensors")
     meta = header.get("meta", {})
     if not isinstance(manifest, list) or not isinstance(meta, dict):
         raise CheckpointError("checkpoint header has no tensor list or a malformed meta")
-    extras = header.get("extras") if version > 1 else None
-    if version > 1 and not (isinstance(extras, list) and all(isinstance(n, str) for n in extras)):
+    declared = header.get("extras")
+    if not (isinstance(declared, list) and all(isinstance(n, str) for n in declared)):
         raise CheckpointError("checkpoint header has no list of extra tensor names")
-    tensors: dict[str, np.ndarray] = {}
+    arrays: dict[str, np.ndarray] = {}  # read-only views of the payload
     end = 0
     for entry in manifest:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise CheckpointError(f"malformed manifest entry {entry!r}")
         name, shape, start = entry["name"], entry.get("shape"), entry.get("offset")
-        if name in tensors:
+        if name in arrays:
             raise CheckpointError(f"tensor {name!r} listed twice")
-        if name not in params and extras is not None and name not in extras:
+        if name not in params and name not in declared:
             raise CheckpointError(f"tensor {name!r} is neither a parameter nor a declared extra")
         if not (isinstance(shape, list) and all(_is_count(n) for n in shape)):
             raise CheckpointError(f"tensor {name!r} has malformed shape {shape!r}")
@@ -689,32 +661,22 @@ def load_checkpoint(path: str) -> LoadedCheckpoint:
         end = start + math.prod(shape) * 4
         if end > len(payload):
             raise CheckpointError(f"tensor {name!r} truncated")
-        tensors[name] = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape).copy()
+        arrays[name] = np.frombuffer(payload, "<f4", math.prod(shape), start).reshape(shape)
     if end != len(payload):
         raise CheckpointError(f"tensors cover {end} of {len(payload)} payload bytes")
-    missing = set(extras or ()) - set(tensors)
-    if missing:
-        raise CheckpointError(f"declared extra tensors missing: {sorted(missing)}")
-    return LoadedCheckpoint(config=cfg, tensors=tensors, meta=meta)
-
-
-def model_from_checkpoint(loaded: LoadedCheckpoint | str) -> Model:
-    """Rebuild a Model from a load result (or a path), verifying that the
-    stored tensors exactly cover the parameter manifest for the config and
-    hold only finite values."""
-    if isinstance(loaded, str):
-        loaded = load_checkpoint(loaded)
-    model = build_model(loaded.config)
-    expected = dict(model.params.named())
-    for name, tensor in expected.items():
-        if name not in loaded.tensors:
+    for name, param in params.items():
+        if name not in arrays:
             raise CheckpointError(f"checkpoint missing parameter {name!r}")
-        arr = loaded.tensors[name]
-        if arr.shape != tensor.data.shape:
+        arr = arrays.pop(name)
+        if arr.shape != param.data.shape:
             raise CheckpointError(
-                f"parameter {name!r} has shape {arr.shape}, config implies {tensor.data.shape}"
+                f"parameter {name!r} has shape {arr.shape}, config implies {param.data.shape}"
             )
         if not np.isfinite(arr).all():
             raise CheckpointError(f"parameter {name!r} holds NaN or Inf")
-        tensor.data = arr.astype(np.float32)
-    return model
+        param.data = arr.astype(np.float32)  # a copy, which replaces the initial draw
+    missing = set(declared) - set(arrays)
+    if missing:
+        raise CheckpointError(f"declared extra tensors missing: {sorted(missing)}")
+    extras = {name: arr.astype(np.float32) for name, arr in arrays.items()}  # what is left
+    return LoadedCheckpoint(model=model, extras=extras, meta=meta)

@@ -26,7 +26,6 @@ from .model import (
     decode_forward_batch,
     encode_batch,
     load_checkpoint,
-    model_from_checkpoint,
     save_checkpoint,
 )
 from .tensor import NonFiniteError, Tensor, cross_entropy, no_grad, reshape, single_blas_thread
@@ -169,7 +168,7 @@ class TrainSettings:
     beta2: float = 0.98
     eps: float = 1e-9
     weight_decay: float = 0.01
-    clip_norm: float = 1.0
+    clip_norm: float | None = 1.0
     label_smoothing: float = 0.1
     log_every: int = 50
     seed: int = 0
@@ -230,25 +229,28 @@ class AdamW:
             clip_norm=s.clip_norm,
         )
 
-    def clip_gradients(self, named: list[tuple[str, Tensor]]) -> float:
-        """Scale all gradients so their global L2 norm is <= clip_norm."""
+    def clip_gradients(self, named: list[tuple[str, Tensor]]) -> tuple[float, bool]:
+        """Scale all gradients so their global L2 norm is <= clip_norm.
+        Returns the norm before scaling and whether it was scaled."""
         sq = 0.0
         for _, p in named:
             if p.grad is not None:
                 sq += float((p.grad.astype(np.float64) ** 2).sum())
         norm = sqrt(sq)
-        if self.clip_norm is not None and norm > self.clip_norm > 0:
+        clipped = self.clip_norm is not None and norm > self.clip_norm > 0
+        if clipped:
             factor = self.clip_norm / norm
             for _, p in named:
                 if p.grad is not None:
                     p.grad *= factor
-        return norm
+        return norm, clipped
 
-    def apply(self, named: list[tuple[str, Tensor]]) -> float:
-        """One optimizer step over (name, tensor) pairs; returns the lr used."""
+    def apply(self, named: list[tuple[str, Tensor]]) -> dict:
+        """One optimizer step over (name, tensor) pairs. Returns the lr used,
+        the global gradient norm before clipping, and whether it was clipped."""
         self.step_count += 1
         lr = schedule_lr(self.base_lr, self.step_count, self.warmup)
-        self.clip_gradients(named)
+        grad_norm, clipped = self.clip_gradients(named)
         t = self.step_count
         for name, p in named:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -265,7 +267,7 @@ class AdamW:
             if self.weight_decay > 0 and p.data.ndim == 2:
                 p.data *= 1.0 - self.weight_decay
             p.data -= (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
-        return lr
+        return {"lr": lr, "grad_norm": grad_norm, "clipped": clipped}
 
 
 def train_step(
@@ -286,8 +288,7 @@ def train_step(
             f"{exc} at optimizer step {opt.step_count + 1}; "
             "lower base_lr or raise warmup"
         ) from exc
-    lr = opt.apply(named)
-    return {"loss": float(loss.data), "lr": lr, "n_tokens": batch.n_target_tokens}
+    return {"loss": float(loss.data), **opt.apply(named), "n_tokens": batch.n_target_tokens}
 
 
 @dataclass
@@ -311,7 +312,8 @@ def train(
     """Run ``settings.steps`` optimizer steps over shuffled token batches.
 
     Every log_every steps (and on the final step) a JSONL record
-    {step, loss, lr, n_tokens, tokens_per_sec} is appended to log_path.
+    {step, loss, lr, grad_norm, clipped, n_tokens, tokens_per_sec} is
+    appended to log_path.
     Resuming with a loaded optimizer continues the schedule where it was.
     The steps run on one OpenBLAS thread (see ``single_blas_thread``).
     """
@@ -333,13 +335,7 @@ def train(
                 tokens_since += stats["n_tokens"]
                 if done % settings.log_every == 0 or done == settings.steps:
                     elapsed = max(time.perf_counter() - started, 1e-9)
-                    entry = {
-                        "step": done,
-                        "loss": stats["loss"],
-                        "lr": stats["lr"],
-                        "n_tokens": stats["n_tokens"],
-                        "tokens_per_sec": tokens_since / elapsed,
-                    }
+                    entry = {"step": done, **stats, "tokens_per_sec": tokens_since / elapsed}
                     history.entries.append(entry)
                     if log_fh:
                         log_fh.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -365,11 +361,7 @@ _OPT_FIELDS = ("step_count", "base_lr", "warmup", "beta1", "beta2", "eps", "weig
 
 
 def save_training_checkpoint(path: str, model: Model, opt: AdamW, meta: dict | None = None) -> None:
-    extra = {}
-    for name, arr in opt.m.items():
-        extra[f"opt.m.{name}"] = arr
-    for name, arr in opt.v.items():
-        extra[f"opt.v.{name}"] = arr
+    extra = {f"opt.{kind}.{name}": arr for kind in ("m", "v") for name, arr in getattr(opt, kind).items()}
     opt_meta = {name: getattr(opt, name) for name in _OPT_FIELDS}
     save_checkpoint(path, model, extra_tensors=extra, meta={"optimizer": opt_meta, **(meta or {})})
 
@@ -387,10 +379,9 @@ def load_training_checkpoint(path: str) -> tuple[Model, AdamW, dict]:
     else is a CheckpointError.
     """
     loaded = load_checkpoint(path)
-    model = model_from_checkpoint(loaded)
     opt_meta = loaded.meta.get("optimizer")
     if opt_meta is None:
-        raise ValueError(f"{path} has no optimizer state; use model_from_checkpoint")
+        raise ValueError(f"{path} has no optimizer state; use load_checkpoint")
     if not isinstance(opt_meta, dict):
         raise CheckpointError(f"{path}: optimizer state is not an object")
     for name in _OPT_FIELDS:
@@ -400,8 +391,8 @@ def load_training_checkpoint(path: str) -> tuple[Model, AdamW, dict]:
         if not (_is_number(value) or (name == "clip_norm" and value is None)):
             raise CheckpointError(f"{path}: optimizer {name!r} is {value!r}, not a number")
     opt = AdamW(**{name: opt_meta[name] for name in _OPT_FIELDS})
-    params = model.params.tensors()
-    for key, arr in loaded.tensors.items():
+    params = dict(loaded.model.params.named())
+    for key, arr in loaded.extras.items():
         for prefix, moments in (("opt.m.", opt.m), ("opt.v.", opt.v)):
             if not key.startswith(prefix):
                 continue
@@ -413,4 +404,4 @@ def load_training_checkpoint(path: str) -> tuple[Model, AdamW, dict]:
             moments[key[len(prefix) :]] = arr
     if set(opt.m) != set(opt.v):
         raise CheckpointError(f"{path}: first and second moments name different parameters")
-    return model, opt, loaded.meta
+    return loaded.model, opt, loaded.meta

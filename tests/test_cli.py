@@ -6,16 +6,21 @@ mapping (0 ok / 1 runtime failure / 2 usage), and the JSON the commands
 print on stdout.
 """
 
+import copy
 import csv
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import markovnmt
 from markovnmt.cli import (
     DEFAULT_RUN_CONFIG,
+    SYNTHETIC_TYPES,
     apply_set_overrides,
     config_hash,
     main,
@@ -84,8 +89,37 @@ def test_merge_rejects_unknown_keys():
         merge_run_config({"modle": {}})
     with pytest.raises(UsageError, match="training.stepz"):
         merge_run_config({"training": {"stepz": 3}})
-    with pytest.raises(UsageError, match="synthetic keys"):
+    with pytest.raises(UsageError, match="unknown config key 'data.synthetic.pairs'"):
         merge_run_config({"data": {"synthetic": {"task": "copy", "pairs": 3}}})
+
+
+@pytest.mark.parametrize(
+    "commands, sections, sets, named",
+    [
+        (["audit-leakage", "count-ops"], {"model": 5}, [], "config section 'model' must be an object"),
+        (["count-ops"], {}, ["model.k=\"3\""], "model.k must be int | None, got '3'"),
+        (["count-ops"], {}, ["model.d_model=null"], "model.d_model must be int, got None"),
+        (["audit-leakage"], {"seed": "x"}, [], "seed must be a non-negative integer, got 'x'"),
+        (["audit-leakage", "count-ops", "train"], {"data": 7}, [], "config section 'data' must be an object"),
+        (["train"], {}, ["data.synthetic.len_range=5"], "data.synthetic.len_range must be tuple[int, int]"),
+        (["train"], {}, ["data.max_vocab=x"], "data.max_vocab must be int | None, got 'x'"),
+        (["train"], {}, ["data.synthetic.test_fraction=a"], "data.synthetic.test_fraction must be float | None"),
+        (["train"], {}, ["data.synthetic.seed=-1"], "bad data.synthetic: seed must be >= 0, got -1"),
+        (["train"], {"training": []}, [], "config section 'training' must be an object"),
+        (["train"], {"decoding": 3}, [], "config section 'decoding' must be an object"),
+    ],
+)
+def test_wrong_typed_config_values_are_usage_errors(tmp_path, capsys, commands, sections, sets, named):
+    cfg = _write_config(tmp_path / "run.json", **sections)
+    extra = {"count-ops": ["--n", "5"], "train": ["--out-root", str(tmp_path / "runs")]}
+    for command in commands:
+        argv = [command, "--config", cfg, *extra.get(command, [])]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err, (command, err)
+    assert not (tmp_path / "runs").exists()
 
 
 def test_set_overrides_parse_json_values():
@@ -243,11 +277,11 @@ def test_translate_stats_report_constant_window_state(trained_run, tmp_path, cap
     """--stats prints one record per sentence; the MAT(k) state holds
     k * d_model floats once k tokens are in."""
     from markovnmt.decoding import count_decode_ops
-    from markovnmt.model import load_checkpoint, model_from_checkpoint, save_checkpoint
+    from markovnmt.model import load_checkpoint, save_checkpoint
 
     tmp, cfg_path, summary = trained_run
     loaded = load_checkpoint(os.path.join(summary["run_dir"], "checkpoint.mnmt"))
-    model = model_from_checkpoint(loaded)
+    model = loaded.model
     # all-zero logits: PAD, the lowest id, wins every step and no sentence ends
     model.params.dec[-1].ln_ffn.gain.data[:] = 0.0
     ckpt = str(tmp_path / "no_eos.mnmt")
@@ -278,14 +312,14 @@ def test_translate_stats_report_constant_window_state(trained_run, tmp_path, cap
 
 @pytest.mark.parametrize("itos", [["a", "a"], [1, 2]])
 def test_translate_rejects_malformed_checkpoint_vocab(trained_run, tmp_path, capsys, itos):
-    from markovnmt.model import load_checkpoint, model_from_checkpoint, save_checkpoint
+    from markovnmt.model import load_checkpoint, save_checkpoint
 
     tmp, cfg_path, summary = trained_run
     loaded = load_checkpoint(os.path.join(summary["run_dir"], "checkpoint.mnmt"))
     reserved = loaded.meta["src_vocab"]["itos"][:4]
     meta = dict(loaded.meta, src_vocab={"itos": reserved + itos})
     ckpt = str(tmp_path / "bad_vocab.mnmt")
-    save_checkpoint(ckpt, model_from_checkpoint(loaded), meta=meta)
+    save_checkpoint(ckpt, loaded.model, meta=meta)
     src_file = tmp_path / "src.txt"
     src_file.write_text("t4 t5\n", encoding="utf-8")
     assert main(["translate", "--checkpoint", ckpt, "--input", str(src_file)]) == 2
@@ -575,6 +609,29 @@ def test_count_ops_reports_closed_form(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["self_attn_scores"] == 325
 
 
+@pytest.mark.parametrize(
+    "rewrite, named",
+    [
+        (lambda header, payload: ({**header, "version": 1}, payload), "unsupported checkpoint version 1"),
+        (
+            lambda header, payload: ({**header, "tensors": [], "extras": [], "payload_bytes": 0}, b""),
+            "checkpoint missing parameter 'src_embed'",
+        ),
+    ],
+)
+def test_count_ops_rejects_old_or_empty_checkpoints(tmp_path, capsys, rewrite, named):
+    from markovnmt.model import ModelConfig, build_model, save_checkpoint
+
+    path = tmp_path / "m.mnmt"
+    save_checkpoint(path, build_model(ModelConfig(d_model=8, heads=2, d_ff=8, max_len=8)))
+    line, payload = _read_bytes(path).split(b"\n", 1)
+    header, payload = rewrite(json.loads(line), payload)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+    path.write_bytes(text.encode("utf-8") + payload)
+    assert main(["count-ops", "--checkpoint", str(path), "--n", "5"]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
 def test_count_ops_from_checkpoint(trained_run, capsys):
     tmp, cfg_path, summary = trained_run
     ckpt = os.path.join(summary["run_dir"], "checkpoint.mnmt")
@@ -584,3 +641,74 @@ def test_count_ops_from_checkpoint(trained_run, capsys):
     assert doc["variant"] == "MAT" and doc["k"] == 2
     # n=6 > k=2: ramp 1+2, then 4 full windows of 2
     assert doc["self_attn_scores"] == 3 + 4 * 2
+
+
+# ---------------------------------------------------------------------------
+# run-config fuzz
+
+
+def _fuzz_paths() -> list[tuple[str, ...]]:
+    paths = [(section,) for section in DEFAULT_RUN_CONFIG]
+    for section, body in DEFAULT_RUN_CONFIG.items():
+        if isinstance(body, dict):
+            paths += [(section, key) for key in body]
+    return paths + [("data", "synthetic", key) for key in sorted(SYNTHETIC_TYPES)]
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 8)
+    | st.floats(-2, 8, allow_nan=False)
+    | st.sampled_from(["", "x", "AT", "TAT", "MAT", "copy", "reverse", "periodic_mode", "char", "/nonexistent"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["k", "task", "steps"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _config_loads_or_is_a_usage_error(capsys, edits) -> None:
+    """Apply (path, value) edits to a small valid config: count-ops and
+    train must either succeed or exit 2 with an error line, never a
+    traceback."""
+    doc = {
+        "seed": 0,
+        "model": {"variant": "MAT", "k": 2, "enc_layers": 1, "dec_layers": 1, "heads": 2, "d_model": 8,
+                  "d_ff": 8, "max_len": 12, "dropout": 0.0},
+        "data": {"synthetic": {"task": "copy", "n_pairs": 20, "len_range": [2, 4], "vocab_size": 5,
+                               "seed": 0, "test_fraction": 0.25}},
+        "training": {"steps": 1, "max_tokens_per_batch": 64, "warmup": 2},
+    }
+    for path, value in edits:
+        node = doc
+        for key in path[:-1]:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        node[path[-1]] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (["count-ops", "--n", "3"], ["train", "--out-root", os.path.join(tmp, "runs")]):
+            rc = main(argv[:1] + ["--config", cfg] + argv[1:])
+            out, err = capsys.readouterr()
+            assert rc == 0 or (rc == 2 and err.startswith("error:")), (argv[0], doc, rc, err)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from(_fuzz_paths()), _JSON_VALUES), min_size=1, max_size=3))
+def test_fuzzed_run_config_loads_or_is_a_usage_error(capsys, edits):
+    _config_loads_or_is_a_usage_error(capsys, edits)
+
+
+@pytest.mark.parametrize("path", _fuzz_paths(), ids=".".join)
+def test_every_config_key_takes_any_json_value(capsys, path):
+    """One edit at a time, each path against a fixed set of values: the
+    random edits above rarely draw a given bad value at a given key, such
+    as a negative data.synthetic.seed."""
+    values = [None, True, -1, 0, 2, 0.5, "", "x", [], [4, 2], {}, {"k": 1}]
+    for value in values:
+        _config_loads_or_is_a_usage_error(capsys, [(path, value)])

@@ -3,6 +3,7 @@ Bayes oracle."""
 
 import hashlib
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from markovnmt.data import (
     numericalize,
     parse_corpus,
     periodic_positions,
-    read_sidecar,
     split_pairs,
     successor,
     tokenize,
@@ -140,6 +140,25 @@ def test_parse_corpus_empty_file_warns(tmp_path):
     path.write_text("")
     with pytest.warns(UserWarning):
         assert parse_corpus(path) == []
+
+
+_TSV_PIECES = [b"a", b"bc", b"\t", b"\n", b" ", b"\r", b"\x00", b"\x1f", b"\xff", "é".encode(), "\u2028".encode()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.lists(st.sampled_from(_TSV_PIECES), max_size=24).map(b"".join) | st.binary(max_size=40))
+def test_random_bytes_parse_into_non_empty_pairs_or_raise_corpus_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("tsv") / "random.tsv"
+    path.write_bytes(raw)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty corpus warns
+            pairs = parse_corpus(path)
+    except CorpusError:
+        return
+    for src, tgt in pairs:
+        for mode in ("whitespace", "char"):
+            assert tokenize(src, mode) and tokenize(tgt, mode), (raw, src, tgt, mode)
 
 
 def test_write_tsv_rejects_control_characters(tmp_path):
@@ -293,7 +312,8 @@ def test_sidecar_roundtrip(tmp_path):
     )
     path = tmp_path / "meta.json"
     write_sidecar(path, spec, extra={"n_train": 8, "n_test": 2})
-    doc = read_sidecar(path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
     assert SyntheticSpec(**{**doc["generator"], "len_range": tuple(doc["generator"]["len_range"])}) == spec
     assert (doc["n_train"], doc["n_test"]) == (8, 2)
 

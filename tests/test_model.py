@@ -1,5 +1,6 @@
 """Model configuration, initialization, forward passes, and checkpoints."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -22,7 +23,6 @@ from markovnmt.model import (
     encode_batch,
     ensure_valid,
     load_checkpoint,
-    model_from_checkpoint,
     output_logits,
     save_checkpoint,
     sinusoidal_positions,
@@ -308,12 +308,56 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     extra = {"opt.m.x": np.arange(6, dtype=np.float32).reshape(2, 3)}
     save_checkpoint(path, model, extra_tensors=extra, meta={"step": 7})
     loaded = load_checkpoint(path)
-    assert loaded.config == model.config
+    assert loaded.model.config == model.config
     assert loaded.meta == {"step": 7}
-    assert np.array_equal(loaded.tensors["opt.m.x"], extra["opt.m.x"])
-    rebuilt = model_from_checkpoint(loaded)
-    for (name, t), (_, u) in zip(model.params.named(), rebuilt.params.named()):
+    assert np.array_equal(loaded.extras["opt.m.x"], extra["opt.m.x"])
+    for (name, t), (_, u) in zip(model.params.named(), loaded.model.params.named()):
         assert np.array_equal(t.data, u.data), name
+
+
+@pytest.mark.parametrize(
+    "post_layernorm, names_sha, file_sha",
+    [
+        (
+            True,
+            "686b684f84b9f937b4f71986231bb6796da958fc9b09406fd9ebe895fade6f70",
+            "9d3d0252a98a87b7c5596808b6874ce374e5aedf709642ef3d6b781281c3dd28",
+        ),
+        (
+            False,
+            "729b6fef31872964f7755efdea56bfb799310975a9c15b68450d95676ded8f8f",
+            "7622716a1270e5c433e6a4dc76f1f3508486258e9bbe2133d603ba40d3fdd2c8",
+        ),
+    ],
+)
+def test_parameter_names_and_checkpoint_bytes_are_pinned(tmp_path, post_layernorm, names_sha, file_sha):
+    """The parameter walk's names and order are the checkpoint format:
+    a change to either would make earlier checkpoints unreadable."""
+    cfg = ModelConfig(
+        variant="MAT", k=2, enc_layers=1, dec_layers=2, heads=2, d_model=8, d_ff=16,
+        src_vocab_size=6, tgt_vocab_size=6, max_len=8, seed=5, post_layernorm=post_layernorm,
+    )
+    model = build_model(cfg)
+    names = "\n".join(name for name, _ in model.params.named())
+    assert hashlib.sha256(names.encode("utf-8")).hexdigest() == names_sha
+    path = tmp_path / "m.mnmt"
+    save_checkpoint(path, model, extra_tensors={"opt.m.src_embed": model.params.src_embed.data}, meta={"k": 1})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+
+
+def test_load_builds_the_model_once(tmp_path, monkeypatch):
+    import markovnmt.model as model_module
+
+    path = tmp_path / "m.mnmt"
+    model = build_model(tiny_cfg(seed=20))
+    save_checkpoint(path, model)
+    calls = []
+    real = model_module.build_model
+    monkeypatch.setattr(model_module, "build_model", lambda cfg: calls.append(cfg) or real(cfg))
+    loaded = load_checkpoint(path)
+    assert calls == [model.config]
+    for (_, t), (_, u) in zip(model.params.named(), loaded.model.params.named()):
+        assert t.data.tobytes() == u.data.tobytes()
 
 
 def test_checkpoint_rewrite_is_byte_identical(tmp_path):
@@ -344,17 +388,6 @@ def test_checkpoint_corruption_detected(tmp_path):
     not_json.write_bytes(b"hello world\n" + raw)
     with pytest.raises(CheckpointError):
         load_checkpoint(not_json)
-
-
-def test_model_from_checkpoint_rejects_shape_mismatch(tmp_path):
-    model = build_model(tiny_cfg(seed=24))
-    path = tmp_path / "m.mnmt"
-    save_checkpoint(path, model)
-    loaded = load_checkpoint(path)
-    name = next(iter(loaded.tensors))
-    loaded.tensors[name] = loaded.tensors[name][..., :-1]
-    with pytest.raises(CheckpointError):
-        model_from_checkpoint(loaded)
 
 
 def _checkpoint_parts(path):
@@ -391,7 +424,20 @@ def test_checkpoint_rejects_undeclared_tensor(tmp_path):
         load_checkpoint(path)
 
 
-def test_model_from_checkpoint_rejects_non_finite_weights(tmp_path):
+def test_load_checkpoint_rejects_shape_mismatch(tmp_path):
+    """A 2-D parameter stored transposed fills the same bytes, so only the
+    shape the config implies can catch it."""
+    path = tmp_path / "m.mnmt"
+    save_checkpoint(path, build_model(tiny_cfg(seed=24)))
+    header, payload = _checkpoint_parts(path)
+    entry = next(e for e in header["tensors"] if e["name"] == "enc.0.ffn.w1")
+    entry["shape"] = entry["shape"][::-1]
+    _write_checkpoint_parts(path, header, payload)
+    with pytest.raises(CheckpointError, match=r"'enc.0.ffn.w1' has shape \(16, 8\), config implies \(8, 16\)"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_rejects_non_finite_weights(tmp_path):
     path = tmp_path / "m.mnmt"
     save_checkpoint(path, build_model(tiny_cfg(seed=27)))
     header, payload = _checkpoint_parts(path)
@@ -399,7 +445,7 @@ def test_model_from_checkpoint_rejects_non_finite_weights(tmp_path):
     assert first["offset"] == 0
     _write_checkpoint_parts(path, header, np.float32(np.nan).tobytes() + payload[4:])
     with pytest.raises(CheckpointError, match=first["name"]):
-        model_from_checkpoint(str(path))
+        load_checkpoint(str(path))
 
 
 _FUZZ_MODEL = build_model(tiny_cfg(seed=28))
@@ -441,12 +487,11 @@ def test_mutated_checkpoint_loads_exactly_or_raises(tmp_path, kind, pick, value,
         path.write_bytes(raw[: pick % len(raw)])
     try:
         loaded = load_checkpoint(path)
-        rebuilt = model_from_checkpoint(loaded)
     except CheckpointError:
         return
-    for (name, t), (_, u) in zip(_FUZZ_MODEL.params.named(), rebuilt.params.named()):
+    for (name, t), (_, u) in zip(_FUZZ_MODEL.params.named(), loaded.model.params.named()):
         assert t.data.shape == u.data.shape and t.data.tobytes() == u.data.tobytes(), name
-    assert set(loaded.tensors) == set(_FUZZ_EXTRA) | {n for n, _ in _FUZZ_MODEL.params.named()}
+    assert set(loaded.extras) == set(_FUZZ_EXTRA)
     for name, arr in _FUZZ_EXTRA.items():
-        assert loaded.tensors[name].shape == arr.shape
-        assert loaded.tensors[name].tobytes() == arr.tobytes()
+        assert loaded.extras[name].shape == arr.shape
+        assert loaded.extras[name].tobytes() == arr.tobytes()

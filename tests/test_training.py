@@ -4,6 +4,7 @@ training loop (including abort-on-divergence and exact resume)."""
 import ctypes
 import json
 import pathlib
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -181,14 +182,14 @@ def test_clip_rescales_to_global_norm():
     a.grad = np.array([3.0], dtype=np.float32)
     b.grad = np.array([4.0], dtype=np.float32)
     opt = AdamW(clip_norm=1.0)
-    norm = opt.clip_gradients([("a", a), ("b", b)])
-    assert norm == pytest.approx(5.0)
+    norm, clipped = opt.clip_gradients([("a", a), ("b", b)])
+    assert norm == pytest.approx(5.0) and clipped
     np.testing.assert_allclose(a.grad, [0.6], rtol=1e-6)
     np.testing.assert_allclose(b.grad, [0.8], rtol=1e-6)
     # under the threshold nothing is scaled
     a.grad = np.array([0.3], dtype=np.float32)
     b.grad = np.array([0.4], dtype=np.float32)
-    opt.clip_gradients([("a", a), ("b", b)])
+    assert opt.clip_gradients([("a", a), ("b", b)]) == (pytest.approx(0.5), False)
     np.testing.assert_allclose(a.grad, [0.3], rtol=1e-6)
 
 
@@ -197,7 +198,7 @@ def test_first_adam_step_matches_hand_computation():
     p = Tensor(np.array([5.0], dtype=np.float32), requires_grad=True)
     p.grad = np.array([2.0], dtype=np.float32)
     opt = AdamW(base_lr=1.0, warmup=1, weight_decay=0.0, clip_norm=None)
-    lr = opt.apply([("p", p)])
+    lr = opt.apply([("p", p)])["lr"]
     assert lr == pytest.approx(1.0)
     np.testing.assert_allclose(p.data, [4.0], atol=1e-5)
 
@@ -224,10 +225,32 @@ def test_training_reduces_loss(tmp_path):
     lines = [json.loads(l) for l in log_path.read_text().splitlines()]
     assert [e["step"] for e in lines] == [e["step"] for e in history.entries]
     assert all(
-        set(e) == {"step", "loss", "lr", "n_tokens", "tokens_per_sec"} for e in lines
+        set(e) == {"step", "loss", "lr", "grad_norm", "clipped", "n_tokens", "tokens_per_sec"}
+        for e in lines
     )
     assert lines[-1]["step"] == 120
     assert all(e["step"] % 10 == 0 for e in lines)
+
+
+def test_step_stats_carry_the_pre_clip_norm_and_the_clip_flag():
+    """Each step reports the global gradient norm before clipping, and
+    ``clipped`` is true exactly when that norm exceeds clip_norm."""
+    items, vocab = micro_task()
+    batch = make_batches(items, 150)[0]
+    probe = micro_model(vocab)
+    batch_loss(probe, batch, 0.1, train=True, rng=np.random.Generator(np.random.PCG64(3))).backward()
+    norm = sqrt(sum(float((t.grad.astype(np.float64) ** 2).sum()) for _, t in probe.params.named()))
+    for clip_norm, clipped in ((norm / 2, True), (norm * 2, False), (None, False)):
+        opt = AdamW(clip_norm=clip_norm)
+        stats = train_step(micro_model(vocab), opt, batch, 0.1, np.random.Generator(np.random.PCG64(3)))
+        assert stats["grad_norm"] == pytest.approx(norm, rel=1e-12)
+        assert stats["clipped"] is clipped
+    # the norms of this run alternate between about 2.0 and 2.9
+    settings = TrainSettings(steps=12, max_tokens_per_batch=150, clip_norm=2.4, log_every=1, seed=0)
+    history = train(micro_model(vocab), items, settings)
+    flags = [e["clipped"] for e in history.entries]
+    assert flags == [e["grad_norm"] > 2.4 for e in history.entries]
+    assert True in flags and False in flags
 
 
 def test_train_uses_schedule(tmp_path):
@@ -349,7 +372,7 @@ def _trained_checkpoint_parts(tmp_path):
     path = tmp_path / "good.mnmt"
     save_training_checkpoint(path, model, opt)
     loaded = load_checkpoint(path)
-    moments = {k: a for k, a in loaded.tensors.items() if k.startswith("opt.")}
+    moments = {k: a for k, a in loaded.extras.items() if k.startswith("opt.")}
     return model, loaded.meta["optimizer"], moments
 
 
