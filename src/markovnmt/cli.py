@@ -293,7 +293,13 @@ def _file_error(flag: str, path: str, exc: Exception) -> UsageError:
 # subcommands
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise UsageError(f"{flag} must be >= {low}, got {value}")
+
+
 def cmd_gen_data(args) -> int:
+    _at_least("--seed", args.seed, 0)
     spec = SyntheticSpec(
         task=args.task,
         n_pairs=args.n,
@@ -517,11 +523,20 @@ def cmd_sweep(args) -> int:
 def cmd_audit_leakage(args) -> int:
     if bool(args.checkpoint) == bool(args.config):
         raise UsageError("audit-leakage needs exactly one of --checkpoint or --config")
+    _at_least("--sentences", args.sentences, 0)
+    _at_least("--src-len", args.src_len, 0)
+    _at_least("--tgt-len", args.tgt_len, 0)
+    _at_least("--seed", args.seed, 0)
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint).model
     else:
         cfg = load_run_config(args.config, args.set or [])
         model = build_model(_model_config_from_run(cfg))
+    # a sentence and its BOS or EOS must fit the model's positions
+    max_len = model.config.max_len
+    for flag, length in (("--src-len", args.src_len), ("--tgt-len", args.tgt_len)):
+        if length + 1 > max_len:
+            raise UsageError(f"{flag} {length} plus BOS/EOS exceeds the model's max_len {max_len}")
     report = audit_model(
         model, n_sentences=args.sentences, src_len=args.src_len, tgt_len=args.tgt_len, seed=args.seed
     )
@@ -536,6 +551,7 @@ def cmd_audit_leakage(args) -> int:
 def cmd_count_ops(args) -> int:
     if bool(args.checkpoint) == bool(args.config):
         raise UsageError("count-ops needs exactly one of --checkpoint or --config")
+    _at_least("--n", args.n, 1)
     if args.checkpoint:
         cfg = load_checkpoint(args.checkpoint).model.config
     else:

@@ -286,6 +286,20 @@ class Model:
             self.pos_table = sinusoidal_positions(self.config.max_len, self.config.d_model)
 
 
+def parameter_count(cfg: ModelConfig) -> int:
+    """The number of floats in the parameters ``build_model(cfg)`` makes,
+    computed without making them."""
+    d, d_ff = cfg.d_model, cfg.d_ff
+    attn, ln, ffn = 4 * d * d, 2 * d, 2 * d * d_ff + d_ff + d
+    final_lns = 0 if cfg.post_layernorm else 2 * ln
+    return (
+        (cfg.src_vocab_size + cfg.tgt_vocab_size) * d
+        + cfg.enc_layers * (attn + ffn + 2 * ln)
+        + cfg.dec_layers * (2 * attn + ffn + 3 * ln)
+        + final_lns
+    )
+
+
 def build_model(cfg: ModelConfig) -> Model:
     ensure_valid(cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -610,7 +624,8 @@ def load_checkpoint(path: str) -> LoadedCheckpoint:
     starts where the one before it ends, the first at 0 and the last at
     the payload's end. Every parameter and declared extra must be there,
     each parameter shaped as the config implies and finite. Anything else
-    is a CheckpointError.
+    is a CheckpointError. The model is built only once the payload is
+    large enough to hold its parameters.
     """
     try:
         with open(path, "rb") as fh:
@@ -633,7 +648,13 @@ def load_checkpoint(path: str) -> LoadedCheckpoint:
     if expected != len(payload):
         raise CheckpointError(f"payload is {len(payload)} bytes, header promises {expected}")
     try:
-        model = build_model(ModelConfig.from_dict(header["config"]))
+        cfg = ensure_valid(ModelConfig.from_dict(header["config"]))
+        # the parameters must fit in the payload before any is made, so
+        # that memory follows the file and not what its header claims
+        needed = 4 * parameter_count(cfg)
+        if needed > len(payload):
+            raise CheckpointError(f"config needs {needed} bytes of parameters, payload holds {len(payload)}")
+        model = build_model(cfg)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad config in checkpoint: {exc}") from exc
     params = dict(model.params.named())

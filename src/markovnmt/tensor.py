@@ -10,8 +10,14 @@ the output of each sublayer through :func:`checked`, which replays a
 failing block with every op checked so that the error names the same op.
 This mode (recording, no_grad, or the replay) belongs to the calling
 thread: a new thread starts recording, and no_grad in one thread leaves
-the others as they are. The graph is a plain DAG of Tensor nodes; ``backward()``
-materializes a :class:`ComputationRecord` (topological node list) and walks
+the others as they are.
+
+The graph holds no op output. A recorded op makes a :class:`Node` that holds
+the op name, its parents' vertices and its backward closure; a leaf Tensor
+is its own vertex. Each closure saves only the arrays its gradient reads and
+returns one gradient per parent, so an intermediate Tensor is freed as soon
+as its caller drops it unless a closure saved its array. ``backward()``
+materializes a :class:`ComputationRecord` (topological vertex list) and walks
 it once in reverse. Gradients accumulate across backward calls until
 ``zero_grad()``.
 """
@@ -133,24 +139,42 @@ def _check_input(data: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"non-finite values reach op '{op}'")
 
 
+class Node:
+    """The graph vertex of a recorded op's output. It holds no output: only
+    the op name, its parents' vertices and ``backward``, which maps the
+    output's gradient to one gradient per parent (None for a parent that
+    needs none)."""
+
+    __slots__ = ("op", "parents", "backward")
+    # a node is made only when a parent needs a gradient, so it does too
+    requires_grad = True
+
+    def __init__(self, op: str, parents: tuple, backward: Callable):
+        self.op = op
+        self.parents = parents
+        self.backward = backward
+
+    def __repr__(self) -> str:
+        return f"Node(op={self.op!r})"
+
+
 class Tensor:
-    """A numpy array plus the graph edges needed for backprop.
+    """A numpy array plus, on a recorded op output, its graph vertex.
 
     ``grad`` is lazily allocated on leaves and accumulates until
     ``zero_grad()``; op outputs never hold one.
-    ``parents`` and ``_backward`` are set only on op outputs recorded while
-    gradients are enabled; leaves have an empty parent tuple.
+    ``node`` is set only on op outputs recorded while gradients are
+    enabled; any other Tensor is a leaf and its own vertex.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "_backward", "op")
+    __slots__ = ("data", "grad", "requires_grad", "node", "op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
         _check_finite(self.data, "leaf")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self.parents: tuple[Tensor, ...] = ()
-        self._backward: Callable | None = None
+        self.node: Node | None = None
         self.op = "leaf"
 
     @property
@@ -173,19 +197,21 @@ class Tensor:
         record = ComputationRecord.trace(self)
         # Per-call flow map keeps repeated backward() calls linear: each call
         # adds exactly one more unit of gradient everywhere.
-        # Only leaves keep a gradient; an op output hands its flow to its
-        # parents and is dropped with the graph.
-        flows: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(record.nodes):
-            g = flows.pop(id(node), None)
+        # Only leaves keep a gradient; a node hands its flow to its parents.
+        flows: dict[int, np.ndarray] = {id(_vertex(self)): np.ones_like(self.data)}
+        for vertex in reversed(record.nodes):
+            g = flows.pop(id(vertex), None)
             if g is None:
                 continue
-            if node._backward is not None:
-                node._backward(g, flows)
-            elif node.grad is None:
-                node.grad = np.array(g, dtype=node.data.dtype)
+            if type(vertex) is Node:
+                for parent, pg in zip(vertex.parents, vertex.backward(g)):
+                    if pg is not None and parent.requires_grad:
+                        cur = flows.get(id(parent))
+                        flows[id(parent)] = pg if cur is None else cur + pg
+            elif vertex.grad is None:
+                vertex.grad = np.array(g, dtype=vertex.data.dtype)
             else:
-                node.grad += g
+                vertex.grad += g
         return record
 
     def item(self) -> float:
@@ -195,36 +221,41 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, dtype={self.data.dtype})"
 
 
+def _vertex(t: Tensor) -> Node | Tensor:
+    return t if t.node is None else t.node
+
+
 @dataclass
 class ComputationRecord:
-    """Topologically ordered nodes reachable from ``root``.
+    """Topologically ordered graph vertices reachable from ``root``.
 
     Parents always precede children, so a single reverse walk sees every
-    node after all of its consumers.
+    vertex after all of its consumers; the root's vertex comes last.
     """
 
     root: Tensor
-    nodes: list[Tensor]
+    nodes: list[Node | Tensor]
 
     @classmethod
     def trace(cls, root: Tensor) -> "ComputationRecord":
-        nodes: list[Tensor] = []
+        nodes: list[Node | Tensor] = []
         seen: set[int] = set()
         # iterative postorder; model graphs are deep enough to worry about
         # Python's recursion limit
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        stack: list[tuple[Node | Tensor, bool]] = [(_vertex(root), False)]
         while stack:
-            node, expanded = stack.pop()
+            vertex, expanded = stack.pop()
             if expanded:
-                nodes.append(node)
+                nodes.append(vertex)
                 continue
-            if id(node) in seen:
+            if id(vertex) in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node.parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+            seen.add(id(vertex))
+            stack.append((vertex, True))
+            if type(vertex) is Node:
+                for parent in vertex.parents:
+                    if id(parent) not in seen:
+                        stack.append((parent, False))
         return cls(root=root, nodes=nodes)
 
     def __len__(self) -> int:
@@ -247,14 +278,12 @@ def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward) ->
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.parents = ()
-    out._backward = None
+    out.node = None
     out.op = op
     out.requires_grad = False
     if mode is _RECORDING and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.parents = parents
-        out._backward = backward
+        out.node = Node(op, tuple(map(_vertex, parents)), backward)
     return out
 
 
@@ -320,13 +349,6 @@ def _sum_leading(x: np.ndarray) -> np.ndarray:
     return np.ones(rows.shape[0], dtype=x.dtype) @ rows
 
 
-def _flow(flows: dict[int, np.ndarray], t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    cur = flows.get(id(t))
-    flows[id(t)] = g if cur is None else cur + g
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise add. ``b`` may broadcast as a trailing-axes pattern:
     a bias of shape (d,) or a per-position table of shape (n, d) against
@@ -339,15 +361,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if not ok:
             raise ValueError(f"add shapes {a.data.shape} and {b.data.shape} do not line up")
     out_data = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
-    def backward(g, flows):
-        _flow(flows, a, g)
-        if b.data.shape == a.data.shape:
-            _flow(flows, b, g)
-        elif b.data.shape == a.data.shape[-1:]:
-            _flow(flows, b, _sum_leading(g))
-        else:
-            _flow(flows, b, g.sum(axis=0))
+    def backward(g):
+        if b_shape == a_shape:
+            return g, g
+        if b_shape == a_shape[-1:]:
+            return g, _sum_leading(g)
+        return g, g.sum(axis=0)
 
     return _result(out_data, "add", (a, b), backward)
 
@@ -356,11 +377,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise multiply, shapes must match exactly."""
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul shapes {a.data.shape} and {b.data.shape} differ")
-    out_data = a.data * b.data
+    a_data, b_data = a.data, b.data
+    out_data = a_data * b_data
 
-    def backward(g, flows):
-        _flow(flows, a, g * b.data)
-        _flow(flows, b, g * a.data)
+    def backward(g):
+        return g * b_data, g * a_data
 
     return _result(out_data, "mul", (a, b), backward)
 
@@ -368,8 +389,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     out_data = a.data * c
 
-    def backward(g, flows):
-        _flow(flows, a, g * c)
+    def backward(g):
+        return (g * c,)
 
     return _result(out_data, "scale", (a,), backward)
 
@@ -384,21 +405,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul inner dims {a.data.shape} @ {b.data.shape}")
     if (ra, rb) == (3, 3) and a.data.shape[0] != b.data.shape[0]:
         raise ValueError("batched matmul batch sizes differ")
-    out_data = np.matmul(a.data, b.data)
+    a_data, b_data = a.data, b.data
+    out_data = np.matmul(a_data, b_data)
+    need_a, need_b = a.requires_grad, b.requires_grad
 
-    def backward(g, flows):
+    def backward(g):
+        da = db = None
         if (ra, rb) == (2, 2):
-            _flow(flows, a, g @ b.data.T)
-            _flow(flows, b, a.data.T @ g)
+            if need_a:
+                da = g @ b_data.T
+            if need_b:
+                db = a_data.T @ g
         elif (ra, rb) == (3, 2):
             # numpy runs a stack times a contiguous matrix as one product;
             # against a transposed view it loops over the stack
-            _flow(flows, a, np.matmul(g, np.ascontiguousarray(b.data.T)))
-            p, q = b.data.shape
-            _flow(flows, b, a.data.reshape(-1, p).T @ g.reshape(-1, q))
+            if need_a:
+                da = np.matmul(g, np.ascontiguousarray(b_data.T))
+            if need_b:
+                p, q = b_data.shape
+                db = a_data.reshape(-1, p).T @ g.reshape(-1, q)
         else:
-            _flow(flows, a, np.matmul(g, b.data.swapaxes(-1, -2)))
-            _flow(flows, b, np.matmul(a.data.swapaxes(-1, -2), g))
+            if need_a:
+                da = np.matmul(g, b_data.swapaxes(-1, -2))
+            if need_b:
+                db = np.matmul(a_data.swapaxes(-1, -2), g)
+        return da, db
 
     return _result(out_data, "matmul", (a, b), backward)
 
@@ -409,8 +440,8 @@ def transpose_last(a: Tensor) -> Tensor:
         raise ValueError("transpose_last needs rank >= 2")
     out_data = np.ascontiguousarray(a.data.swapaxes(-1, -2))
 
-    def backward(g, flows):
-        _flow(flows, a, g.swapaxes(-1, -2))
+    def backward(g):
+        return (g.swapaxes(-1, -2),)
 
     return _result(out_data, "transpose_last", (a,), backward)
 
@@ -419,8 +450,9 @@ def relu(a: Tensor) -> Tensor:
     _check_input(a.data, "relu")
     out_data = np.maximum(a.data, 0)
 
-    def backward(g, flows):
-        _flow(flows, a, g * (a.data > 0))
+    def backward(g):
+        # the output is positive exactly where the input is
+        return (g * (out_data > 0),)
 
     return _result(out_data, "relu", (a,), backward)
 
@@ -455,14 +487,14 @@ def softmax_masked(scores: Tensor, allow: np.ndarray | None, factor: float = 1.0
     e /= _sum_last_padded(e)
     out_data = e
 
-    def backward(g, flows):
+    def backward(g):
         w = out_data
         ds = g - _sum_last_padded(g * w)
         ds *= w
         if mask is not None:
             ds = np.where(mask, ds, 0.0)
         ds *= factor
-        _flow(flows, scores, ds)
+        return (ds,)
 
     return _result(out_data, "softmax_masked", (scores,), backward)
 
@@ -475,17 +507,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = x.data - _sum_last(x.data) / d
     inv_std = 1.0 / np.sqrt(_sum_last(xhat * xhat) / d + eps)
     xhat *= inv_std
-    out_data = xhat * gain.data
+    gain_data = gain.data
+    out_data = xhat * gain_data
     out_data += bias.data
 
-    def backward(g, flows):
-        _flow(flows, gain, _sum_leading(g * xhat))
-        _flow(flows, bias, _sum_leading(g))
-        dxhat = g * gain.data
+    def backward(g):
+        dxhat = g * gain_data
         dx = dxhat - _sum_last(dxhat) / d
         dx -= xhat * (_sum_last(dxhat * xhat) / d)
         dx *= inv_std
-        _flow(flows, x, dx)
+        return dx, _sum_leading(g * xhat), _sum_leading(g)
 
     return _result(out_data, "layer_norm", (x, gain, bias), backward)
 
@@ -498,19 +529,20 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ValueError("embedding id out of range")
     out_data = table.data[ids]
+    table_shape, dtype = table.data.shape, table.data.dtype
 
-    def backward(g, flows):
+    def backward(g):
         # Sum gradient rows per id: a stable sort keeps each id's rows in
         # their original order, then one reduceat adds each run.
         flat = ids.reshape(-1)
         order = np.argsort(flat, kind="stable")
         sorted_ids = flat[order]
         starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-        dt = np.zeros_like(table.data)
+        dt = np.zeros(table_shape, dtype=dtype)
         if flat.size:
-            rows = g.reshape(-1, table.data.shape[1])[order]
+            rows = g.reshape(-1, table_shape[1])[order]
             dt[sorted_ids[starts]] = np.add.reduceat(rows, starts, axis=0)
-        _flow(flows, table, dt)
+        return (dt,)
 
     return _result(out_data, "embedding", (table,), backward)
 
@@ -522,16 +554,17 @@ def split_heads(a: Tensor, heads: int, transpose: bool = False) -> Tensor:
     ``transpose`` also swaps each slice's two axes, giving (.., d/heads, n)."""
     if a.data.ndim not in (2, 3) or a.data.shape[-1] % heads:
         raise ValueError(f"cannot split shape {a.data.shape} into {heads} heads")
-    lead, n, d = (1,) * (3 - a.data.ndim) + a.data.shape
+    a_shape = a.data.shape
+    lead, n, d = (1,) * (3 - a.data.ndim) + a_shape
     dh = d // heads
     axes = (0, 2, 3, 1) if transpose else (0, 2, 1, 3)
     out_data = np.ascontiguousarray(a.data.reshape(lead, n, heads, dh).transpose(axes))
     out_data = out_data.reshape((lead * heads,) + out_data.shape[2:])
 
-    def backward(g, flows):
+    def backward(g):
         g4 = g.reshape((lead, heads) + g.shape[1:])
         g4 = g4.transpose(0, 3, 1, 2) if transpose else g4.transpose(0, 2, 1, 3)
-        _flow(flows, a, g4.reshape(a.data.shape))
+        return (g4.reshape(a_shape),)
 
     return _result(out_data, "split_heads", (a,), backward)
 
@@ -541,7 +574,7 @@ def merge_heads(a: Tensor, heads: int, rank: int = 3) -> Tensor:
     or (heads, n, dh) -> (n, heads*dh) when ``rank`` is 2."""
     if a.data.ndim != 3 or a.data.shape[0] % heads or rank not in (2, 3):
         raise ValueError(f"cannot merge shape {a.data.shape} over {heads} heads")
-    rows, n, dh = a.data.shape
+    a_shape = rows, n, dh = a.data.shape
     lead = rows // heads
     if rank == 2 and lead != 1:
         raise ValueError(f"rank-2 merge needs exactly {heads} rows, got {rows}")
@@ -549,8 +582,8 @@ def merge_heads(a: Tensor, heads: int, rank: int = 3) -> Tensor:
         a.data.reshape(lead, heads, n, dh).transpose(0, 2, 1, 3)
     ).reshape((lead, n, heads * dh)[3 - rank :])
 
-    def backward(g, flows):
-        _flow(flows, a, g.reshape(lead, n, heads, dh).transpose(0, 2, 1, 3).reshape(a.data.shape))
+    def backward(g):
+        return (g.reshape(lead, n, heads, dh).transpose(0, 2, 1, 3).reshape(a_shape),)
 
     return _result(out_data, "merge_heads", (a,), backward)
 
@@ -559,19 +592,21 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out_data = a.data.reshape(shape)
     if out_data.ndim > 3:
         raise ValueError("reshape beyond rank 3")
+    a_shape = a.data.shape
 
-    def backward(g, flows):
-        _flow(flows, a, g.reshape(a.data.shape))
+    def backward(g):
+        return (g.reshape(a_shape),)
 
     return _result(np.ascontiguousarray(out_data), "reshape", (a,), backward)
 
 
 def total(a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
-    out_data = np.asarray(a.data.sum(), dtype=a.data.dtype)
+    a_shape, dtype = a.data.shape, a.data.dtype
+    out_data = np.asarray(a.data.sum(), dtype=dtype)
 
-    def backward(g, flows):
-        _flow(flows, a, np.broadcast_to(g, a.data.shape).astype(a.data.dtype))
+    def backward(g):
+        return (np.broadcast_to(g, a_shape).astype(dtype),)
 
     return _result(out_data, "total", (a,), backward)
 
@@ -586,8 +621,8 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     mask = keep / (1.0 - p)
     out_data = a.data * mask
 
-    def backward(g, flows):
-        _flow(flows, a, g * mask)
+    def backward(g):
+        return (g * mask,)
 
     return _result(out_data, "dropout", (a,), backward)
 
@@ -633,14 +668,15 @@ def cross_entropy(
     # the mean stays float64: a float32 batch mean would carry a rounding
     # error that token-weighted corpus averages of batch means then expose
     out_data = np.asarray(per_row[keep].mean(dtype=np.float64))
+    dtype = logits.data.dtype
 
-    def backward(g, flows):
+    def backward(g):
         p = np.exp(logp)
-        q = np.full((n, v), label_smoothing / v, dtype=logits.data.dtype)
+        q = np.full((n, v), label_smoothing / v, dtype=dtype)
         q[np.arange(n), np.where(keep, targets, 0)] += 1.0 - label_smoothing
         dlogits = (p - q) * (float(g) / n_keep)
         dlogits[~keep] = 0.0
-        _flow(flows, logits, dlogits.astype(logits.data.dtype))
+        return (dlogits.astype(dtype),)
 
     return _result(out_data, "cross_entropy", (logits,), backward)
 

@@ -277,18 +277,30 @@ def train_step(
     label_smoothing: float,
     rng: np.random.Generator,
 ) -> dict:
-    """Forward, backward, clip, update. Returns step stats."""
+    """Forward, backward, clip, update. Returns step stats, with the wall
+    seconds of the forward, the backward and the optimizer update."""
     model.params.zero_grad()
     named = list(model.params.named())
+    start = time.perf_counter()
     try:
         loss = batch_loss(model, batch, label_smoothing, train=True, rng=rng)
+        forward_done = time.perf_counter()
         loss.backward()
     except NonFiniteError as exc:
         raise NonFiniteError(
             f"{exc} at optimizer step {opt.step_count + 1}; "
             "lower base_lr or raise warmup"
         ) from exc
-    return {"loss": float(loss.data), **opt.apply(named), "n_tokens": batch.n_target_tokens}
+    backward_done = time.perf_counter()
+    update = opt.apply(named)
+    return {
+        "loss": float(loss.data),
+        **update,
+        "n_tokens": batch.n_target_tokens,
+        "forward_s": forward_done - start,
+        "backward_s": backward_done - forward_done,
+        "optimizer_s": time.perf_counter() - backward_done,
+    }
 
 
 @dataclass
@@ -312,8 +324,9 @@ def train(
     """Run ``settings.steps`` optimizer steps over shuffled token batches.
 
     Every log_every steps (and on the final step) a JSONL record
-    {step, loss, lr, grad_norm, clipped, n_tokens, tokens_per_sec} is
-    appended to log_path.
+    {step, loss, lr, grad_norm, clipped, n_tokens, tokens_per_sec,
+    forward_s, backward_s, optimizer_s} is appended to log_path; the three
+    phase timings are the logged step's own.
     Resuming with a loaded optimizer continues the schedule where it was.
     The steps run on one OpenBLAS thread (see ``single_blas_thread``).
     """

@@ -592,6 +592,28 @@ def test_audit_leakage_needs_exactly_one_source(tmp_path, capsys):
     assert main(["audit-leakage", "--config", cfg, "--checkpoint", "x.mnmt"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["audit-leakage", "--seed", "-1"], "--seed"),
+        (["gen-data", "--task", "copy", "--n", "5", "--seed", "-1"], "--seed"),
+        (["audit-leakage", "--tgt-len", "-3"], "--tgt-len"),
+        (["audit-leakage", "--set", "model.max_len=3"], "--src-len"),
+        (["count-ops", "--n", "0"], "--n"),
+    ],
+    ids=["audit-seed", "gen-data-seed", "audit-tgt-len", "audit-max-len", "count-ops-n"],
+)
+def test_bad_integer_flags_are_usage_errors(tmp_path, capsys, argv, flag):
+    """An integer flag out of range exits 2 with a message naming it,
+    not with a traceback from deep inside the command."""
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("{}", encoding="utf-8")
+    where = ["--out", str(tmp_path / "x")] if argv[0] == "gen-data" else ["--config", str(cfg)]
+    assert main(argv + where) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1, err
+
+
 def test_count_ops_reports_closed_form(tmp_path, capsys):
     cfg = _write_config(tmp_path / "run.json")
     rc = main([
@@ -615,9 +637,10 @@ def test_count_ops_reports_closed_form(tmp_path, capsys):
         (lambda header, payload: ({**header, "version": 1}, payload), "unsupported checkpoint version 1"),
         (
             lambda header, payload: ({**header, "tensors": [], "extras": [], "payload_bytes": 0}, b""),
-            "checkpoint missing parameter 'src_embed'",
+            "config needs 9600 bytes of parameters, payload holds 0",
         ),
     ],
+    ids=["version-1", "header-only"],
 )
 def test_count_ops_rejects_old_or_empty_checkpoints(tmp_path, capsys, rewrite, named):
     from markovnmt.model import ModelConfig, build_model, save_checkpoint

@@ -345,7 +345,10 @@ def test_decode_batch_matches_sentence_by_sentence(variant, k, beam, alpha):
         for src, got in zip(sources, batched):
             alone = decode_batch(model, [src], beam, alpha, max_new=budget)[0]
             assert got.tokens == alone.tokens
-            assert got.logp == pytest.approx(alone.logp, abs=1e-4)
+            # not bitwise at this head width: a padded memory lengthens the
+            # inner dimension of the cross-attention's weighted sum, and
+            # BLAS then rounds in another order (see the test below)
+            assert got.logp == pytest.approx(alone.logp, rel=1e-6)
             assert len(got.n_best) <= beam
             for hyp in got.n_best:
                 assert hyp.logp == pytest.approx(
@@ -353,6 +356,27 @@ def test_decode_batch_matches_sentence_by_sentence(variant, k, beam, alpha):
                 )
             assert got.stats["steps"] == alone.stats["steps"]
             assert got.stats["self_attn_scores"] == alone.stats["self_attn_scores"]
+
+
+@pytest.mark.parametrize("variant", ["MAT", "AT", "TAT"])
+def test_decode_batch_is_bitwise_batch_invariant(variant):
+    """With 16-wide heads, as in the benchmark's and the criteria's models,
+    a sentence decodes to the same bits in a padded batch as alone: the
+    same tokens and the same log-probabilities, greedy and beam-4."""
+    rng = np.random.default_rng(11)
+    for seed in range(3):
+        model = make_model(
+            variant=variant, k=5, seed=seed, enc_layers=2, heads=4, d_model=64, d_ff=128,
+            src_vocab_size=16, tgt_vocab_size=16, max_len=40,
+        )
+        sources = [random_source(rng, n=int(n)) for n in rng.integers(3, 20, size=6)]
+        for beam in (1, 4):
+            batched = decode_batch(model, sources, beam, max_new=20)
+            for src, got in zip(sources, batched):
+                alone = decode_batch(model, [src], beam, max_new=20)[0]
+                assert got.tokens == alone.tokens
+                assert got.logp == alone.logp
+                assert [h.logp for h in got.n_best] == [h.logp for h in alone.n_best]
 
 
 def test_decode_batch_edge_cases():

@@ -24,6 +24,7 @@ from markovnmt.model import (
     ensure_valid,
     load_checkpoint,
     output_logits,
+    parameter_count,
     save_checkpoint,
     sinusoidal_positions,
     validate_config,
@@ -241,6 +242,33 @@ def test_one_sentence_paths_match_the_batched_code_bitwise(over):
         np.testing.assert_array_equal(stacked[r], decode_forward(model, memory, ids).data)
 
 
+@pytest.mark.parametrize(
+    "over",
+    [
+        dict(variant="MAT", k=2, dec_layers=2),
+        dict(variant="TAT", k=None, dec_layers=2),
+        dict(variant="AT", k=None, dec_layers=2, post_layernorm=False),
+    ],
+)
+def test_padded_batch_logits_equal_one_sentence_logits_bitwise(over):
+    """Teacher-forced logits of a sentence are the same bits whatever it
+    is batched with and however much padding that adds."""
+    model = build_model(tiny_cfg(seed=19, **over))
+    rng = np.random.default_rng(5)
+    pairs = [
+        (list(rng.integers(4, 9, size=m)) + [EOS_ID], [1] + list(rng.integers(4, 9, size=n)))
+        for m, n in ((6, 7), (1, 2), (3, 9), (8, 1))
+    ]
+    width_src = max(len(s) for s, _ in pairs)
+    width_tgt = max(len(t) for _, t in pairs)
+    src = np.array([s + [PAD_ID] * (width_src - len(s)) for s, _ in pairs])
+    tgt = np.array([t + [PAD_ID] * (width_tgt - len(t)) for _, t in pairs])
+    logits = decode_forward_batch(model, encode_batch(model, src, src != PAD_ID), tgt, src != PAD_ID).data
+    for i, (s, t) in enumerate(pairs):
+        alone = decode_forward(model, encode(model, np.array(s)), np.array(t)).data
+        np.testing.assert_array_equal(logits[i, : len(t)], alone)
+
+
 def test_changing_a_padded_source_slot_does_not_change_real_logits():
     model = build_model(tiny_cfg(seed=13))
     tgt = np.array([[1, 5, 6]])
@@ -399,6 +427,37 @@ def _checkpoint_parts(path):
 def _write_checkpoint_parts(path, header, payload):
     line = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
     path.write_bytes(line.encode("utf-8") + payload)
+
+
+@pytest.mark.parametrize("variant", ["MAT", "AT", "TAT"])
+@pytest.mark.parametrize("post_layernorm", [True, False])
+def test_parameter_count_matches_the_built_model(variant, post_layernorm):
+    cfg = tiny_cfg(
+        variant=variant, post_layernorm=post_layernorm, enc_layers=2, dec_layers=3, d_ff=24, tgt_vocab_size=11
+    )
+    assert parameter_count(cfg) == sum(t.data.size for _, t in build_model(cfg).params.named())
+
+
+def test_header_only_checkpoint_fails_before_the_model_is_built(tmp_path, monkeypatch):
+    """A header naming a large model over an empty payload is refused from
+    the header alone: the loader's memory follows the file."""
+    import markovnmt.model as model_module
+
+    path = tmp_path / "m.mnmt"
+    save_checkpoint(path, build_model(tiny_cfg()))
+    header, _ = _checkpoint_parts(path)
+    big = tiny_cfg(d_model=512, heads=8, d_ff=2048, src_vocab_size=20000, tgt_vocab_size=20000)
+    header.update(config=big.to_dict(), tensors=[], extras=[], payload_bytes=0)
+    _write_checkpoint_parts(path, header, b"")
+
+    def refuse(cfg):
+        raise AssertionError("build_model called")
+
+    monkeypatch.setattr(model_module, "build_model", refuse)
+    needed = 4 * parameter_count(big)
+    assert needed > 100 * 2**20
+    with pytest.raises(CheckpointError, match=f"config needs {needed} bytes of parameters, payload holds 0"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_negative_offset(tmp_path):

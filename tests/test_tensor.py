@@ -3,6 +3,7 @@ invariants, and finite-difference agreement."""
 
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -254,11 +255,54 @@ def test_record_topological_order():
     e = total(d)
     record = ComputationRecord.trace(e)
     pos = {id(n): i for i, n in enumerate(record.nodes)}
-    for node in record.nodes:
-        for parent in node.parents:
-            assert pos[id(parent)] < pos[id(node)]
-    assert record.nodes[-1] is e
-    assert {id(a), id(b), id(c), id(d), id(e)} <= set(pos)
+    for vertex in record.nodes:
+        for parent in getattr(vertex, "parents", ()):
+            assert pos[id(parent)] < pos[id(vertex)]
+    assert record.nodes[-1] is e.node
+    # leaves are their own vertices; op outputs are represented by nodes
+    assert {id(a), id(b), id(c.node), id(d.node), id(e.node)} == set(pos)
+
+
+def test_graph_keeps_only_what_backward_reads():
+    """A recorded op output is freed once the caller drops it, unless a
+    backward closure saved its array: matmul's output, read only by
+    softmax_masked, goes, and so does an add's output read only by
+    layer_norm; softmax_masked saves its own output. Gradients do not
+    depend on whether the caller kept the intermediates."""
+    rng = np.random.Generator(np.random.PCG64(4))
+    x = Tensor(rng.normal(size=(2, 3, 4)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 4)).astype(np.float32), requires_grad=True)
+    gain = Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
+    bias = Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
+    params = (x, w, gain, bias)
+    allow = np.array([True, True, False, True])
+
+    def grads(keep: list):
+        scores = matmul(x, w)
+        weights = softmax_masked(scores, allow, 0.5)
+        summed = add(weights, x)
+        normed = layer_norm(summed, gain, bias)
+        keep.extend((scores, weights, summed))
+        loss = total(mul(normed, normed))
+        for p in params:
+            p.zero_grad()
+        return loss, [p.grad for p in params]
+
+    held = []
+    loss, _ = grads(held)
+    loss.backward()
+    expected = [p.grad.copy() for p in params]
+
+    dropped = []
+    loss, _ = grads(dropped)
+    refs = {t.op: weakref.ref(t.data) for t in dropped}
+    dropped.clear()
+    assert refs["matmul"]() is None
+    assert refs["add"]() is None
+    assert refs["softmax_masked"]() is not None
+    loss.backward()
+    for p, want in zip(params, expected):
+        assert p.grad.tobytes() == want.tobytes()
 
 
 def test_backward_requires_scalar_root():
@@ -289,7 +333,7 @@ def test_no_grad_blocks_recording():
     x = Tensor([1.0], requires_grad=True)
     with no_grad():
         y = mul(x, x)
-    assert y.parents == () and not y.requires_grad
+    assert y.node is None and not y.requires_grad
     z = mul(x, x)
     assert z.requires_grad
 
@@ -383,11 +427,9 @@ def test_grad_check_catches_a_wrong_gradient():
     def wrong(params):
         (w_,) = params
         out = mul(w_, w_)
-        good = out._backward
-
-        def bad(g, flows):
-            flows[id(w_)] = flows.get(id(w_), 0) + g  # pretends d(w^2)/dw = 1
-        out._backward = bad if good else None
+        if out.node is not None:
+            # pretends d(w^2)/dw = 1
+            out.node.backward = lambda g: (g, None)
         return total(out)
 
     result = grad_check(wrong, [w], h=1e-3)

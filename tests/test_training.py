@@ -2,6 +2,7 @@
 training loop (including abort-on-divergence and exact resume)."""
 
 import ctypes
+import hashlib
 import json
 import pathlib
 from math import sqrt
@@ -225,9 +226,12 @@ def test_training_reduces_loss(tmp_path):
     lines = [json.loads(l) for l in log_path.read_text().splitlines()]
     assert [e["step"] for e in lines] == [e["step"] for e in history.entries]
     assert all(
-        set(e) == {"step", "loss", "lr", "grad_norm", "clipped", "n_tokens", "tokens_per_sec"}
+        set(e)
+        == {"step", "loss", "lr", "grad_norm", "clipped", "n_tokens", "tokens_per_sec",
+            "forward_s", "backward_s", "optimizer_s"}
         for e in lines
     )
+    assert all(e[phase] > 0 for e in lines for phase in ("forward_s", "backward_s", "optimizer_s"))
     assert lines[-1]["step"] == 120
     assert all(e["step"] % 10 == 0 for e in lines)
 
@@ -251,6 +255,34 @@ def test_step_stats_carry_the_pre_clip_norm_and_the_clip_flag():
     flags = [e["clipped"] for e in history.entries]
     assert flags == [e["grad_norm"] > 2.4 for e in history.entries]
     assert True in flags and False in flags
+
+
+@pytest.mark.parametrize(
+    "variant, k, digest",
+    [
+        ("MAT", 5, "1672caba0421dc6d399e8d3f9b5b174691eb9998aaf68c9d34ddb9a9a8bac0ce"),
+        ("AT", None, "bf33871b49ad401b88825bb7a204721d4aecce8b29e997237526623347594c52"),
+        ("TAT", None, "eee26562be66e9633c101a552def1cb490ed83d1c3b7556edc03edf53b35a19e"),
+    ],
+)
+def test_thirty_steps_are_pinned_bitwise(variant, k, digest):
+    """Parameters after 30 steps with dropout, label smoothing and weight
+    decay hash to pinned digests: a change to the tape or its ops that
+    moves a single bit of training shows here."""
+    spec = SyntheticSpec(task="copy", n_pairs=120, len_range=(4, 9), vocab_size=6, seed=5)
+    pairs = generate_pairs(spec)
+    vocab = Vocab.build(src for src, _ in pairs)
+    items = numericalize(pairs, vocab, vocab, max_len=12).items
+    model = micro_model(vocab, variant=variant, k=k, enc_layers=2, dec_layers=2, dropout=0.1)
+    settings = TrainSettings(
+        steps=30, max_tokens_per_batch=150, label_smoothing=0.1, weight_decay=0.01, log_every=30, seed=2
+    )
+    train(model, items, settings)
+    h = hashlib.sha256()
+    for name, t in model.params.named():
+        h.update(name.encode("utf-8"))
+        h.update(t.data.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_train_uses_schedule(tmp_path):
